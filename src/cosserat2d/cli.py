@@ -10,13 +10,12 @@ seeded property suite). Exit codes: 0 success, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__, bruteforce, energy, minimizers, selfcheck, shear
 from .errors import PlanarCosseratError
@@ -29,14 +28,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_INVALID_INPUT = 2
 EXIT_CERTIFY_FAILED = 3
-
-
-class CertificationFailure(Exception):
-    pass
-
-
-def _deg(radians: float) -> float:
-    return math.degrees(radians)
 
 
 def _matrix_arg(parser):
@@ -64,6 +55,15 @@ def _output_args(parser, default_format):
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
     parser.add_argument(
         "--degrees", action="store_true", help="emit angle columns in degrees"
+    )
+
+
+def _workers_arg(parser):
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="accepted for compatibility; rows are computed serially",
     )
 
 
@@ -113,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma-start", type=float, required=True)
     p.add_argument("--gamma-end", type=float, required=True)
     p.add_argument("--gamma-step", type=float, required=True)
-    p.add_argument("--workers", type=int, default=1, help="parallel row workers")
+    _workers_arg(p)
     _output_args(p, "csv")
 
     p = sub.add_parser("bifurcation", help="relative rotation branches over a stretch-trace range")
@@ -121,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tru-end", type=float, required=True)
     p.add_argument("--tru-step", type=float, required=True)
     _weight_args(p)
-    p.add_argument("--workers", type=int, default=1, help="parallel row workers")
+    _workers_arg(p)
     _output_args(p, "csv")
 
     p = sub.add_parser("verify", help="run the seeded property suite")
@@ -139,35 +139,110 @@ def build_parser() -> argparse.ArgumentParser:
 # Emission helpers
 # ---------------------------------------------------------------------------
 
-def _emit(text: str, out: str | None) -> None:
+@contextlib.contextmanager
+def _output(out: str | None):
     if out is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        yield sys.stdout
     else:
         with open(out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            yield handle
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value + 0.0)  # folds -0.0 into 0.0
-    return str(value)
-
-
-def _format_csv(header: list[str], rows: list[list]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_csv_cell(v) for v in row])
-    return buffer.getvalue()
+def _emit(text: str, out: str | None) -> None:
+    with _output(out) as handle:
+        handle.write(text)
 
 
 def _format_json(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
+
+
+def _degrees(angles: tuple) -> tuple:
+    return tuple([None if a is None else math.degrees(a) for a in angles])
+
+
+class _Table:
+    """Column spec of a table, shared by its CSV and JSON forms.
+
+    A row is a tuple: the lead columns, the angle columns in radians, then
+    the trailing columns. CSV names an angle column NAME, or NAME_deg with
+    the value in degrees under --degrees, and folds -0.0 into 0.0. JSON
+    writes all NAME_rad, then all NAME_deg columns in the angles' place,
+    keeps -0.0 and ignores --degrees. Rows are written as they come, with
+    the bytes csv.writer and json.dumps(rows, indent=2) write for them.
+    """
+
+    def __init__(self, lead: tuple, angles: tuple = (), trail: tuple = ()):
+        self.lo, self.hi = len(lead), len(lead) + len(angles)
+        self.csv_header = {
+            False: ",".join(lead + angles + trail) + "\n",
+            True: ",".join(lead + tuple(a + "_deg" for a in angles) + trail) + "\n",
+        }
+        self.csv_row = ",".join(["%s"] * len(lead + angles + trail)) + "\n"
+        keys = (lead + tuple(a + "_rad" for a in angles)
+                + tuple(a + "_deg" for a in angles) + trail)
+        self.json_row = "  {\n" + ",\n".join(f"    {json.dumps(k)}: %s" for k in keys) + "\n  }"
+
+    def write(self, handle, rows, fmt: str, degrees: bool = False) -> None:
+        if fmt == "json":
+            self._write_json(handle, rows)
+        else:
+            self._write_csv(handle, rows, degrees)
+
+    def _write_csv(self, handle, rows, degrees: bool) -> None:
+        lo, hi = self.lo, self.hi
+        template = self.csv_row
+        handle.write(self.csv_header[degrees])
+        for row in rows:
+            if degrees:
+                row = row[:lo] + _degrees(row[lo:hi]) + row[hi:]
+            try:
+                line = template % tuple([v + 0.0 for v in row])  # + 0.0 folds -0.0
+            except TypeError:  # None or text cells
+                cells = ["" if v is None else repr(v + 0.0) if isinstance(v, float) else v
+                         for v in row]
+                csv.writer(handle, lineterminator="\n").writerow(cells)
+            else:
+                handle.write(line)
+
+    def _write_json(self, handle, rows) -> None:
+        lo, hi = self.lo, self.hi
+        template = self.json_row
+        sep = "[\n"
+        for row in rows:
+            values = row[:hi] + _degrees(row[lo:hi]) + row[hi:]
+            try:
+                plain = math.isfinite(sum(values))
+            except TypeError:  # None cells
+                plain = False
+            # json.dumps writes NaN, Infinity and null where %s would not
+            handle.write(sep + template % (values if plain else tuple(map(json.dumps, values))))
+            sep = ",\n"
+        handle.write("[]\n" if sep == "[\n" else "\n]\n")
+
+
+def _stream_table(args, table: _Table, row, sweep) -> int:
+    """Write row(v) for each value v of a sweep, after computing both end rows.
+
+    The magnitude of a sweep value peaks at an end, so a row that leaves
+    the floating-point range fails here, before any output is written.
+    """
+    first, last, values = sweep
+    for value in (first, last):
+        try:
+            row(value)
+        except ArithmeticError as exc:
+            raise PlanarCosseratError(
+                f"row at {value!r} leaves the floating-point range ({exc})"
+            ) from exc
+    with _output(args.out) as handle:
+        table.write(handle, map(row, values), args.format, args.degrees)
+    return EXIT_OK
+
+
+def _emit_row(args, table: _Table, row: tuple) -> None:
+    with _output(args.out) as handle:
+        table.write(handle, [row], "csv", args.degrees)
 
 
 def _matrix_json(m: Mat2) -> list[list[float]]:
@@ -182,27 +257,42 @@ def _parse_weights(args) -> Weights:
     return Weights(args.mu, args.muc)
 
 
-def _sweep_values(start: float, end: float, step: float, positive=False) -> list[float]:
+def _sweep_values(start: float, end: float, step: float, positive=False):
+    """(first, last, values) of the sweep start + i * step, i = 0 .. count-1.
+
+    values is a lazy iterator, so a sweep holds no list of its rows.
+    """
     if not (start < end and step > 0.0):
         raise PlanarCosseratError(
             f"invalid range: need start < end and step > 0, got [{start}, {end}] step {step}"
         )
     if positive and start <= 0.0:
         raise PlanarCosseratError(f"range start must be positive, got {start}")
-    count = int(math.floor((end - start) / step + 1e-9)) + 1
-    return [start + i * step for i in range(count)]
+    span = (end - start) / step + 1e-9
+    if not math.isfinite(span):
+        raise PlanarCosseratError(
+            f"invalid range: [{start}, {end}] step {step} has no finite row count"
+        )
+    count = int(math.floor(span)) + 1
 
+    def value(i):
+        return start + i * step
 
-def _map_rows(fn, values, workers: int):
-    if workers <= 1:
-        return [fn(v) for v in values]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, values))
+    return value(0), value(count - 1), map(value, range(count))
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
+
+_MINIMIZE_CSV = _Table(("branch",), ("alpha_p", "alpha_plus", "alpha_minus", "beta"),
+                       ("energy", "rho", "lambda"))
+_CRITICAL_CSV = _Table((), ("alpha_p", "alpha_p_opposite", "alpha_nc_plus", "alpha_nc_minus"),
+                       ("w1", "w2", "w3"))
+_ENERGY_LEVELS_CSV = _Table(("tr_u", "det_f", "w1", "w2", "w3"))
+_SWEEP_SHEAR = _Table(("gamma",), ("alpha_p", "alpha_plus", "alpha_minus"), ("w1", "w2", "w3"))
+_BIFURCATION = _Table(("tr_u",), ("beta_plus", "beta_minus"))
+
 
 def _cmd_minimize(args) -> int:
     f = _parse_matrix(args.f)
@@ -217,9 +307,9 @@ def _cmd_minimize(args) -> int:
         "regime": classify(w).value,
         "branch": ms.branch.value,
         "alpha_p_rad": polar_angle(f),
-        "alpha_p_deg": _deg(polar_angle(f)),
+        "alpha_p_deg": math.degrees(polar_angle(f)),
         "angles_rad": angles,
-        "angles_deg": [_deg(a) for a in angles],
+        "angles_deg": [math.degrees(a) for a in angles],
         "angle_convention": "first listed angle is alpha_p + beta",
         "rotations": [_matrix_json(rotation(a)) for a in angles],
         "energy": ms.energy,
@@ -257,29 +347,16 @@ def _cmd_minimize(args) -> int:
     if args.format == "json":
         _emit(_format_json(report), args.out)
     else:
-        unit = _deg if args.degrees else float
-        suffix = "_deg" if args.degrees else ""
-        header = [
-            "branch",
-            f"alpha_p{suffix}",
-            f"alpha_plus{suffix}",
-            f"alpha_minus{suffix}",
-            f"beta{suffix}",
-            "energy",
-            "rho",
-            "lambda",
-        ]
-        row = [
+        _emit_row(args, _MINIMIZE_CSV, (
             ms.branch.value,
-            unit(polar_angle(f)),
-            unit(ms.alpha_plus),
-            unit(ms.alpha_minus) if len(angles) > 1 else None,
-            unit(ms.beta),
+            polar_angle(f),
+            ms.alpha_plus,
+            ms.alpha_minus if len(angles) > 1 else None,
+            ms.beta,
             ms.energy,
             report["rho"],
             report["lambda"],
-        ]
-        _emit(_format_csv(header, [row]), args.out)
+        ))
     return exit_code
 
 
@@ -287,41 +364,27 @@ def _cmd_critical(args) -> int:
     f = _parse_matrix(args.f)
     cs = minimizers.critical_set(f)
     inv = trace_invariants(f)
+    nc = cs.nonclassical
     report = {
         "command": "critical",
         "f": _matrix_json(f),
         "tr_u": inv.tr_u,
         "classical_pair_rad": list(cs.classical_pair),
-        "classical_pair_deg": [_deg(a) for a in cs.classical_pair],
-        "nonclassical_rad": list(cs.nonclassical) if cs.nonclassical else None,
-        "nonclassical_deg": [_deg(a) for a in cs.nonclassical] if cs.nonclassical else None,
+        "classical_pair_deg": [math.degrees(a) for a in cs.classical_pair],
+        "nonclassical_rad": list(nc) if nc else None,
+        "nonclassical_deg": [math.degrees(a) for a in nc] if nc else None,
         "levels": {"w1": cs.levels.w1, "w2": cs.levels.w2, "w3": cs.levels.w3},
     }
     if args.format == "json":
         _emit(_format_json(report), args.out)
     else:
-        unit = _deg if args.degrees else float
-        suffix = "_deg" if args.degrees else ""
-        header = [
-            f"alpha_p{suffix}",
-            f"alpha_p_opposite{suffix}",
-            f"alpha_nc_plus{suffix}",
-            f"alpha_nc_minus{suffix}",
-            "w1",
-            "w2",
-            "w3",
-        ]
-        nc = cs.nonclassical
-        row = [
-            unit(cs.classical_pair[0]),
-            unit(cs.classical_pair[1]),
-            unit(nc[0]) if nc else None,
-            unit(nc[1]) if nc else None,
+        _emit_row(args, _CRITICAL_CSV, (
+            *cs.classical_pair,
+            *(nc if nc else (None, None)),
             cs.levels.w1,
             cs.levels.w2,
             cs.levels.w3,
-        ]
-        _emit(_format_csv(header, [row]), args.out)
+        ))
     return EXIT_OK
 
 
@@ -341,64 +404,20 @@ def _cmd_energy_levels(args) -> int:
     if args.format == "json":
         _emit(_format_json(report), args.out)
     else:
-        header = ["tr_u", "det_f", "w1", "w2", "w3"]
-        row = [inv.tr_u, inv.det_f, levels.w1, levels.w2, levels.w3]
-        _emit(_format_csv(header, [row]), args.out)
+        _emit_row(args, _ENERGY_LEVELS_CSV,
+                  (inv.tr_u, inv.det_f, levels.w1, levels.w2, levels.w3))
     return EXIT_OK
 
 
 def _cmd_sweep_shear(args) -> int:
     gammas = _sweep_values(args.gamma_start, args.gamma_end, args.gamma_step)
+    solve = shear.shear_solution
 
-    def row(gamma: float):
-        sol = shear.shear_solution(gamma)
-        levels = energy.critical_energy_levels(shear.simple_shear(gamma))
-        return (sol, levels)
+    def row(gamma: float) -> tuple:
+        sol = solve(gamma)
+        return (sol.gamma, sol.alpha_p, *sol.angles, *shear._shear_levels(gamma))
 
-    results = _map_rows(row, gammas, args.workers)
-    unit = _deg if args.degrees else float
-    suffix = "_deg" if args.degrees else ""
-    if args.format == "csv":
-        header = [
-            "gamma",
-            f"alpha_p{suffix}",
-            f"alpha_plus{suffix}",
-            f"alpha_minus{suffix}",
-            "w1",
-            "w2",
-            "w3",
-        ]
-        rows = [
-            [
-                sol.gamma,
-                unit(sol.alpha_p),
-                unit(sol.angles[0]),
-                unit(sol.angles[1]),
-                levels.w1,
-                levels.w2,
-                levels.w3,
-            ]
-            for sol, levels in results
-        ]
-        _emit(_format_csv(header, rows), args.out)
-    else:
-        payload = [
-            {
-                "gamma": sol.gamma,
-                "alpha_p_rad": sol.alpha_p,
-                "alpha_plus_rad": sol.angles[0],
-                "alpha_minus_rad": sol.angles[1],
-                "alpha_p_deg": _deg(sol.alpha_p),
-                "alpha_plus_deg": _deg(sol.angles[0]),
-                "alpha_minus_deg": _deg(sol.angles[1]),
-                "w1": levels.w1,
-                "w2": levels.w2,
-                "w3": levels.w3,
-            }
-            for sol, levels in results
-        ]
-        _emit(_format_json(payload), args.out)
-    return EXIT_OK
+    return _stream_table(args, _SWEEP_SHEAR, row, gammas)
 
 
 def _cmd_bifurcation(args) -> int:
@@ -408,31 +427,14 @@ def _cmd_bifurcation(args) -> int:
             "bifurcation table needs non-classical weights (mu > muc)"
         )
     tr_values = _sweep_values(args.tru_start, args.tru_end, args.tru_step, positive=True)
+    rho = w.singular_radius()
+    beta_of = minimizers._pitchfork_beta
 
-    def row(tr_u: float):
-        beta = minimizers.relative_rotation_magnitude(tr_u, w)
+    def row(tr_u: float) -> tuple:
+        beta = beta_of(tr_u, rho)
         return (tr_u, beta, -beta)
 
-    results = _map_rows(row, tr_values, args.workers)
-    unit = _deg if args.degrees else float
-    suffix = "_deg" if args.degrees else ""
-    if args.format == "csv":
-        header = ["tr_u", f"beta_plus{suffix}", f"beta_minus{suffix}"]
-        rows = [[t, unit(bp), unit(bm)] for t, bp, bm in results]
-        _emit(_format_csv(header, rows), args.out)
-    else:
-        payload = [
-            {
-                "tr_u": t,
-                "beta_plus_rad": bp,
-                "beta_minus_rad": bm,
-                "beta_plus_deg": _deg(bp),
-                "beta_minus_deg": _deg(bm),
-            }
-            for t, bp, bm in results
-        ]
-        _emit(_format_json(payload), args.out)
-    return EXIT_OK
+    return _stream_table(args, _BIFURCATION, row, tr_values)
 
 
 def _cmd_verify(args) -> int:
@@ -487,6 +489,9 @@ def main(argv=None) -> int:
         return _DISPATCH[args.command](args)
     except (PlanarCosseratError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID_INPUT
+    except ArithmeticError as exc:  # a result beyond the floating-point range
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
 
 

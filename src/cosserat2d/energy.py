@@ -42,12 +42,20 @@ class Branch(enum.Enum):
     PITCHFORK = "pitchfork"
 
 
-def _sym_skew_sq(x11: float, x12: float, x21: float, x22: float,
-                 shift: float = 1.0) -> tuple[float, float]:
-    # Frobenius norms squared of sym(X - shift*1) and skew(X - shift*1).
+def _sym_skew_energy(x11: float, x12: float, x21: float, x22: float,
+                     mu: float, muc: float, shift: float = 1.0) -> float:
+    # mu * ||sym(X - shift*1)||^2 + muc * ||skew(X - shift*1)||^2
     sym_sq = (x11 - shift) ** 2 + (x22 - shift) ** 2 + 0.5 * (x12 + x21) ** 2
     skew_sq = 0.5 * (x12 - x21) ** 2
-    return sym_sq, skew_sq
+    return mu * sym_sq + muc * skew_sq
+
+
+def _energy_at(alpha: float, e11: float, e12: float, e21: float, e22: float,
+               mu: float, muc: float) -> float:
+    # shear_stretch_energy(rotation(alpha), F, (mu, muc)), unvalidated
+    c, s = math.cos(alpha), math.sin(alpha)
+    return _sym_skew_energy(c * e11 + s * e21, c * e12 + s * e22,
+                            -s * e11 + c * e21, -s * e12 + c * e22, mu, muc)
 
 
 def shear_stretch_energy(r: Mat2, f: Mat2, w: Weights) -> float:
@@ -59,8 +67,7 @@ def shear_stretch_energy(r: Mat2, f: Mat2, w: Weights) -> float:
     require_rotation(r)
     require_gl_plus(f)
     x = r.transpose() @ f
-    sym_sq, skew_sq = _sym_skew_sq(x.e11, x.e12, x.e21, x.e22)
-    return w.mu * sym_sq + w.muc * skew_sq
+    return _sym_skew_energy(x.e11, x.e12, x.e21, x.e22, w.mu, w.muc)
 
 
 def energy_expanded(r: Mat2, f: Mat2, w: Weights) -> float:
@@ -158,12 +165,17 @@ class EnergyLevels:
 
 def critical_energy_levels(f: Mat2) -> EnergyLevels:
     inv = trace_invariants(f)
-    ring_const = 0.5 * inv.frob_f**2 - inv.det_f + 2.0
-    base = 0.5 * inv.tr_u**2
-    w1 = base + 2.0 * inv.tr_u + ring_const
-    w2 = base - 2.0 * inv.tr_u + ring_const
-    w3 = -2.0 + ring_const if inv.tr_u >= 2.0 else None
-    return EnergyLevels(w1, w2, w3)
+    return EnergyLevels(*_critical_levels(inv.tr_u, inv.det_f, inv.frob_f))
+
+
+def _critical_levels(tr_u: float, det_f: float, frob_f: float):
+    # (w1, w2, w3) from the invariants, unvalidated
+    ring_const = 0.5 * frob_f**2 - det_f + 2.0
+    base = 0.5 * tr_u**2
+    w1 = base + 2.0 * tr_u + ring_const
+    w2 = base - 2.0 * tr_u + ring_const
+    w3 = -2.0 + ring_const if tr_u >= 2.0 else None
+    return w1, w2, w3
 
 
 class ReducedEnergy(NamedTuple):
@@ -225,8 +237,7 @@ def cofactor_energy(r: Mat2, f: Mat2, w: Weights) -> float:
     require_gl_plus(f)
     x = r.transpose() @ f
     # cofactor (adjugate) of X: (x22, -x12; -x21, x11)
-    sym_sq, skew_sq = _sym_skew_sq(x.e22, -x.e12, -x.e21, x.e11)
-    return w.mu * sym_sq + w.muc * skew_sq
+    return _sym_skew_energy(x.e22, -x.e12, -x.e21, x.e11, w.mu, w.muc)
 
 
 _LOG_BRANCH_TOL = 1e-14
@@ -285,8 +296,7 @@ def log_strain_energy(r: Mat2, f: Mat2, w: Weights) -> float:
     require_rotation(r)
     require_gl_plus(f)
     lg = matrix_log_2x2(r.transpose() @ f)
-    sym_sq, skew_sq = _sym_skew_sq(lg.e11, lg.e12, lg.e21, lg.e22, shift=0.0)
-    return w.mu * sym_sq + w.muc * skew_sq
+    return _sym_skew_energy(lg.e11, lg.e12, lg.e21, lg.e22, w.mu, w.muc, shift=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -89,7 +89,11 @@ def relative_rotation_magnitude(tr_u: float, w: Weights) -> float:
     """
     if not tr_u > 0.0:
         raise ValueError(f"tr U must be positive, got {tr_u!r}")
-    rho = w.singular_radius()
+    return _pitchfork_beta(tr_u, w.singular_radius())
+
+
+def _pitchfork_beta(tr_u: float, rho: float) -> float:
+    # beta from tr U > 0 and the singular radius, unvalidated
     if tr_u < rho:
         return 0.0
     return math.acos(rho / tr_u)

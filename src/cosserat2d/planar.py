@@ -166,6 +166,16 @@ class TraceInvariants(NamedTuple):
     frob_f: float
 
 
+def _invariants(e11: float, e12: float, e21: float, e22: float):
+    """(tr F, tr JF, tr U, det F, ||F||) from the entries of F, unvalidated."""
+    tr_f = e11 + e22
+    tr_jf = e12 - e21
+    det_f = e11 * e22 - e12 * e21
+    frob_sq = e11**2 + e12**2 + e21**2 + e22**2
+    tr_u = math.sqrt(frob_sq + 2.0 * det_f)
+    return tr_f, tr_jf, tr_u, det_f, math.sqrt(frob_sq)
+
+
 def trace_invariants(f: Mat2) -> TraceInvariants:
     """Traces, determinant and Frobenius norm of F, plus the stretch trace.
 
@@ -173,12 +183,7 @@ def trace_invariants(f: Mat2) -> TraceInvariants:
     tr U = sqrt(||F||^2 + 2 det F) and also tr_f^2 + tr_jf^2 = (tr U)^2.
     """
     require_gl_plus(f)
-    tr_f = f.e11 + f.e22
-    tr_jf = f.e12 - f.e21
-    det_f = f.det()
-    frob_sq = f.frobenius_sq()
-    tr_u = math.sqrt(frob_sq + 2.0 * det_f)
-    return TraceInvariants(tr_f, tr_jf, tr_u, det_f, math.sqrt(frob_sq))
+    return TraceInvariants._make(_invariants(f.e11, f.e12, f.e21, f.e22))
 
 
 class PolarDecomposition(NamedTuple):
@@ -195,7 +200,11 @@ def polar_angle(f: Mat2) -> float:
     would lose the sign.
     """
     inv = trace_invariants(f)
-    return math.atan2(-inv.tr_jf, inv.tr_f)
+    return _polar_angle(inv.tr_f, inv.tr_jf)
+
+
+def _polar_angle(tr_f: float, tr_jf: float) -> float:
+    return math.atan2(-tr_jf, tr_f)
 
 
 def polar_decompose(f: Mat2) -> PolarDecomposition:

@@ -9,14 +9,24 @@ rotation by twice the polar angle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
+from .energy import _critical_levels, _energy_at
 from .errors import InadmissibleKappa
-from .minimizers import optimal_set
-from .planar import Mat2, polar_angle, require_gl_plus, trace_invariants
+from .minimizers import _pitchfork_beta
+from .planar import (
+    Mat2,
+    _invariants,
+    _polar_angle,
+    normalize_angle,
+    require_gl_plus,
+    trace_invariants,
+)
 from .weights import Weights
 
 _ZERO_COUPLE = Weights(1.0, 0.0)
+_RHO = _ZERO_COUPLE.singular_radius()
 
 #: Tolerances of the cancellation predicate on tr F and tr U.
 TRACE_TOL = 1e-10
@@ -46,15 +56,27 @@ class ShearSolution:
 
 
 def shear_solution(gamma: float) -> ShearSolution:
-    f = simple_shear(gamma)
-    ms = optimal_set(f, _ZERO_COUPLE)
-    return ShearSolution(
-        gamma=float(gamma),
-        alpha_p=polar_angle(f),
-        angles=(ms.alpha_plus, ms.alpha_minus),
-        energy=ms.energy,
-        tr_u=trace_invariants(f).tr_u,
-    )
+    """optimal_set(simple_shear(gamma), Weights(1, 0)) on floats.
+
+    tr U = sqrt(4 + gamma^2) >= 2 = rho, so the pitchfork branch applies;
+    the operations are those of optimal_set, so the results are identical.
+    """
+    gamma = float(gamma)
+    if not math.isfinite(gamma):  # the check Mat2 makes on simple_shear(gamma)
+        raise ValueError(f"matrix entry e12 must be finite, got {gamma!r}")
+    tr_f, tr_jf, tr_u, _, _ = _invariants(1.0, gamma, 0.0, 1.0)
+    alpha_p = _polar_angle(tr_f, tr_jf)
+    beta = _pitchfork_beta(tr_u, _RHO)
+    plus = normalize_angle(alpha_p + beta)
+    minus = normalize_angle(alpha_p - beta)
+    energy = _energy_at(plus, 1.0, gamma, 0.0, 1.0, _ZERO_COUPLE.mu, _ZERO_COUPLE.muc)
+    return ShearSolution(gamma, alpha_p, (plus, minus), energy, tr_u)
+
+
+def _shear_levels(gamma: float):
+    # critical_energy_levels(simple_shear(gamma)) as a tuple, unvalidated
+    _, _, tr_u, det_f, frob_f = _invariants(1.0, gamma, 0.0, 1.0)
+    return _critical_levels(tr_u, det_f, frob_f)
 
 
 def glide_family(gamma: float, kappa: float) -> Mat2:

@@ -8,7 +8,7 @@ import math
 import pytest
 
 from cosserat2d import Mat2, Weights, rotation, shear_stretch_energy
-from cosserat2d.cli import main
+from cosserat2d.cli import _Table, main
 
 
 def run_cli(capsys, *argv):
@@ -79,6 +79,15 @@ class TestMinimize:
         )
         assert code == 2
         assert "error" in err
+
+    def test_overflowing_energy_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "out.json"
+        code, _, err = run_cli(
+            capsys, "minimize", "--f", "1e200", "0", "0", "1e200", "--out", str(path)
+        )
+        assert code == 2
+        assert err.startswith("error: OverflowError")
+        assert not path.exists()
 
     def test_json_roundtrip_reproduces_energy(self, capsys):
         code, out, _ = run_cli(
@@ -208,6 +217,28 @@ class TestSweepShear:
         )
         assert code == 2
 
+    def test_infinite_range_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "sweep.csv"
+        code, out, err = run_cli(
+            capsys,
+            "sweep-shear", "--gamma-start", "0", "--gamma-end", "inf", "--gamma-step", "1",
+            "--out", str(path),
+        )
+        assert code == 2
+        assert err.startswith("error: invalid range") and "finite row count" in err
+        assert out == "" and not path.exists()
+
+    def test_overflowing_row_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "sweep.csv"
+        code, out, err = run_cli(
+            capsys,
+            "sweep-shear", "--gamma-start", "1e200", "--gamma-end", "2e200",
+            "--gamma-step", "1e200", "--out", str(path),
+        )
+        assert code == 2
+        assert err.startswith("error: row at 1e+200 leaves the floating-point range")
+        assert out == "" and not path.exists()
+
     def test_workers_preserve_order(self, capsys):
         _, serial, _ = run_cli(
             capsys,
@@ -268,6 +299,17 @@ class TestBifurcation:
         )
         assert code == 2
 
+    def test_overflowing_row_count_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "bifurcation.csv"
+        code, out, err = run_cli(
+            capsys,
+            "bifurcation", "--tru-start", "1e-300", "--tru-end", "1e300",
+            "--tru-step", "1e-10", "--out", str(path),
+        )
+        assert code == 2
+        assert err.startswith("error: invalid range") and "finite row count" in err
+        assert out == "" and not path.exists()
+
     def test_nonpositive_range_rejected(self, capsys):
         code, _, _ = run_cli(
             capsys,
@@ -275,6 +317,55 @@ class TestBifurcation:
             "--mu", "1", "--muc", "0",
         )
         assert code == 2
+
+
+class TestTableEmission:
+    """The streamed emitters against csv.writer and json.dumps on the same rows."""
+
+    TABLE = _Table(("a",), ("b", "c"), ("d", "e"))
+    ROWS = [
+        (0.5, -0.0, -1.25, 1e-300, -0.0),
+        (-1.5, math.pi, None, float("inf"), None),
+        (2.0, float("nan"), -float("inf"), "text, quoted", 3.0),
+    ]
+
+    @staticmethod
+    def _reference_csv(header, rows):
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(
+                ["" if v is None else repr(v + 0.0) if isinstance(v, float) else str(v)
+                 for v in row]
+            )
+        return buffer.getvalue()
+
+    @pytest.mark.parametrize("degrees", [False, True])
+    def test_csv_matches_csv_writer(self, degrees):
+        def unit(v):
+            return math.degrees(v) if degrees and v is not None else v
+
+        suffix = "_deg" if degrees else ""
+        header = ["a", "b" + suffix, "c" + suffix, "d", "e"]
+        rows = [(r[0], unit(r[1]), unit(r[2]), r[3], r[4]) for r in self.ROWS]
+        buffer = io.StringIO()
+        self.TABLE.write(buffer, iter(self.ROWS), "csv", degrees)
+        assert buffer.getvalue() == self._reference_csv(header, rows)
+
+    def test_json_matches_json_dumps(self):
+        rows = self.ROWS[:2]
+        payload = [
+            {"a": a, "b_rad": b, "c_rad": c,
+             "b_deg": math.degrees(b), "c_deg": None if c is None else math.degrees(c),
+             "d": d, "e": e}
+            for a, b, c, d, e in rows
+        ]
+        for subset in (rows, rows[:1], []):
+            buffer = io.StringIO()
+            self.TABLE.write(buffer, iter(subset), "json", degrees=True)
+            expected = json.dumps(payload[: len(subset)], indent=2) + "\n"
+            assert buffer.getvalue() == expected
 
 
 class TestVerify:
