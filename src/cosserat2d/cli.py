@@ -24,6 +24,9 @@ from .weights import Regime, Weights, classify, reduction_data
 
 CERTIFY_TOL = 1e-6
 
+#: Most rows a sweep-shear or bifurcation table may have.
+MAX_ROWS = 10**7
+
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_INVALID_INPUT = 2
@@ -274,6 +277,11 @@ def _sweep_values(start: float, end: float, step: float, positive=False):
             f"invalid range: [{start}, {end}] step {step} has no finite row count"
         )
     count = int(math.floor(span)) + 1
+    if count > MAX_ROWS:
+        raise PlanarCosseratError(
+            f"invalid range: [{start}, {end}] step {step} has {count} rows, "
+            f"more than the cap of {MAX_ROWS}"
+        )
 
     def value(i):
         return start + i * step
@@ -299,15 +307,17 @@ def _cmd_minimize(args) -> int:
     w = _parse_weights(args)
     ms = minimizers.optimal_set(f, w)
     angles = list(ms.angles)
+    alpha_p = polar_angle(f)
+    regime = classify(w)
     report = {
         "command": "minimize",
         "f": _matrix_json(f),
         "mu": w.mu,
         "muc": w.muc,
-        "regime": classify(w).value,
+        "regime": regime.value,
         "branch": ms.branch.value,
-        "alpha_p_rad": polar_angle(f),
-        "alpha_p_deg": math.degrees(polar_angle(f)),
+        "alpha_p_rad": alpha_p,
+        "alpha_p_deg": math.degrees(alpha_p),
         "angles_rad": angles,
         "angles_deg": [math.degrees(a) for a in angles],
         "angle_convention": "first listed angle is alpha_p + beta",
@@ -315,7 +325,7 @@ def _cmd_minimize(args) -> int:
         "energy": ms.energy,
         "beta": ms.beta,
     }
-    if classify(w) is Regime.NON_CLASSICAL:
+    if regime is Regime.NON_CLASSICAL:
         data = reduction_data(f, w)
         report["rho"] = data.rho
         report["lambda"] = data.lam
@@ -349,7 +359,7 @@ def _cmd_minimize(args) -> int:
     else:
         _emit_row(args, _MINIMIZE_CSV, (
             ms.branch.value,
-            polar_angle(f),
+            alpha_p,
             ms.alpha_plus,
             ms.alpha_minus if len(angles) > 1 else None,
             ms.beta,
@@ -428,10 +438,10 @@ def _cmd_bifurcation(args) -> int:
         )
     tr_values = _sweep_values(args.tru_start, args.tru_end, args.tru_step, positive=True)
     rho = w.singular_radius()
-    beta_of = minimizers._pitchfork_beta
+    pitchfork = minimizers._pitchfork
 
     def row(tr_u: float) -> tuple:
-        beta = beta_of(tr_u, rho)
+        beta = pitchfork(tr_u, rho)[0]
         return (tr_u, beta, -beta)
 
     return _stream_table(args, _BIFURCATION, row, tr_values)

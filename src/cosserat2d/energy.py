@@ -25,11 +25,8 @@ from .errors import LogUndefined, NonPositiveSingularValue
 from .planar import (
     Mat2,
     SingularPair,
-    normalize_angle,
-    polar_angle,
     require_gl_plus,
     require_rotation,
-    rotation,
     trace_invariants,
 )
 from .weights import Regime, Weights, classify
@@ -42,20 +39,23 @@ class Branch(enum.Enum):
     PITCHFORK = "pitchfork"
 
 
-def _sym_skew_energy(x11: float, x12: float, x21: float, x22: float,
-                     mu: float, muc: float, shift: float = 1.0) -> float:
-    # mu * ||sym(X - shift*1)||^2 + muc * ||skew(X - shift*1)||^2
+def _sym_skew_energy(x11, x12, x21, x22, mu: float, muc: float, shift: float = 1.0):
+    # mu * ||sym(X - shift*1)||^2 + muc * ||skew(X - shift*1)||^2, on floats or arrays
     sym_sq = (x11 - shift) ** 2 + (x22 - shift) ** 2 + 0.5 * (x12 + x21) ** 2
     skew_sq = 0.5 * (x12 - x21) ** 2
     return mu * sym_sq + muc * skew_sq
 
 
+def _microstretch(c, s, e11: float, e12: float, e21: float, e22: float):
+    # entries of R(alpha)^T F from c = cos(alpha), s = sin(alpha), on floats or arrays
+    return c * e11 + s * e21, c * e12 + s * e22, -s * e11 + c * e21, -s * e12 + c * e22
+
+
 def _energy_at(alpha: float, e11: float, e12: float, e21: float, e22: float,
                mu: float, muc: float) -> float:
     # shear_stretch_energy(rotation(alpha), F, (mu, muc)), unvalidated
-    c, s = math.cos(alpha), math.sin(alpha)
-    return _sym_skew_energy(c * e11 + s * e21, c * e12 + s * e22,
-                            -s * e11 + c * e21, -s * e12 + c * e22, mu, muc)
+    x11, x12, x21, x22 = _microstretch(math.cos(alpha), math.sin(alpha), e11, e12, e21, e22)
+    return _sym_skew_energy(x11, x12, x21, x22, mu, muc)
 
 
 def shear_stretch_energy(r: Mat2, f: Mat2, w: Weights) -> float:
@@ -194,20 +194,13 @@ def reduced_energy(f: Mat2, w: Weights) -> ReducedEnergy:
     exactly at tr U = singular radius and is continuous there; the
     pitchfork tag applies from the threshold on (right-continuous).
     """
-    require_gl_plus(f)
-    inv = trace_invariants(f)
     if classify(w) is Regime.CLASSICAL:
+        inv = trace_invariants(f)
         return ReducedEnergy(
             w.mu * (inv.frob_f**2 - 2.0 * inv.tr_u + 2.0), Branch.CLASSICAL
         )
-    rho = w.singular_radius()
-    if inv.tr_u < rho:
-        alpha = polar_angle(f)
-        branch = Branch.CLASSICAL
-    else:
-        alpha = normalize_angle(polar_angle(f) + math.acos(rho / inv.tr_u))
-        branch = Branch.PITCHFORK
-    return ReducedEnergy(shear_stretch_energy(rotation(alpha), f, w), branch)
+    ms = minimizers.optimal_set(f, w)
+    return ReducedEnergy(ms.energy, ms.branch)
 
 
 def reduced_energy_sv(pair: SingularPair | tuple[float, float]) -> float:
@@ -252,40 +245,43 @@ def matrix_log_2x2(x: Mat2) -> Mat2:
     eigenvalues (Jordan form; exact since the nilpotent part squares to
     zero). Raises LogUndefined when the spectrum touches (-inf, 0].
     """
-    t = x.trace()
-    d = x.det()
-    disc = t * t - 4.0 * d
-    tol = _LOG_BRANCH_TOL * max(1.0, t * t, 4.0 * abs(d))
-    if disc > tol:
-        if t <= 0.0 or d <= 0.0:
-            raise LogUndefined(
-                f"real eigenvalue on the closed negative axis (tr={t!r}, det={d!r})"
-            )
-        sq = math.sqrt(disc)
-        lam1 = 0.5 * (t + sq)
-        lam2 = d / lam1
-        coeff = math.log1p(sq / lam2) / sq
-        const = math.log(lam2)
-        shift = lam2
-    elif disc < -tol:
-        half_t = 0.5 * t
-        b = 0.5 * math.sqrt(-disc)
-        coeff = math.atan2(b, half_t) / b
-        const = 0.5 * math.log(d)
-        shift = half_t
-    else:
-        if t <= 0.0:
-            raise LogUndefined(f"double eigenvalue {0.5 * t!r} is not positive")
-        lam = 0.5 * t
-        coeff = 1.0 / lam
-        const = math.log(lam)
-        shift = lam
-    return Mat2(
-        const + coeff * (x.e11 - shift),
-        coeff * x.e12,
-        coeff * x.e21,
-        const + coeff * (x.e22 - shift),
+    x11, x12, x21, x22 = np.array(x.entries())[:, None]
+    for _, l11, l12, l21, l22 in _log_cases(x11, x12, x21, x22, x.det()):
+        return Mat2(l11[0], l12[0], l21[0], l22[0])
+    raise LogUndefined(
+        "an eigenvalue lies on the closed negative axis or its discriminant "
+        f"leaves the floating-point range (tr={x.trace()!r}, det={x.det()!r})"
     )
+
+
+def _log_cases(x11, x12, x21, x22, d: float):
+    # Principal log of X = (x11, x12; x21, x22) on arrays, with det X = d a float.
+    # Yields (mask, l11, l12, l21, l22), the entries of log X on mask, per
+    # eigenvalue case present, each in the form const + coeff * (X - shift);
+    # off every mask, log X is undefined.
+    t = x11 + x22
+    disc = t * t - 4.0 * d
+    tol = _LOG_BRANCH_TOL * np.maximum(1.0, np.maximum(t * t, 4.0 * abs(d)))
+
+    def case(m, const, coeff, shift):
+        return (m, const + coeff * (x11[m] - shift), coeff * x12[m],
+                coeff * x21[m], const + coeff * (x22[m] - shift))
+
+    m = disc < -tol
+    if m.any():  # complex-conjugate pair
+        half_t = 0.5 * t[m]
+        b = 0.5 * np.sqrt(-disc[m])
+        yield case(m, 0.5 * math.log(d), np.arctan2(b, half_t) / b, half_t)
+    m = (disc > tol) & (t > 0.0)
+    if d > 0.0 and m.any():  # distinct positive eigenvalues
+        sq = np.sqrt(disc[m])
+        lam1 = 0.5 * (t[m] + sq)
+        lam2 = d / lam1
+        yield case(m, np.log(lam2), np.log1p(sq / lam2) / sq, lam2)
+    m = (np.abs(disc) <= tol) & (t > 0.0)
+    if m.any():  # coincident positive eigenvalues
+        lam = 0.5 * t[m]
+        yield case(m, np.log(lam), 1.0 / lam, lam)
 
 
 def log_strain_energy(r: Mat2, f: Mat2, w: Weights) -> float:
@@ -300,35 +296,24 @@ def log_strain_energy(r: Mat2, f: Mat2, w: Weights) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized single-angle profiles for the brute-force grid. These evaluate
-# the defining sym/skew forms entrywise, without the trace shortcuts used by
-# the closed-form minimizers, so grid certification stays an independent
-# route.
+# Vectorized single-angle profiles for the brute-force grid. They evaluate
+# the defining sym/skew forms entrywise through _microstretch and
+# _sym_skew_energy, never the trace shortcuts used by the closed-form
+# minimizers, so grid certification stays an independent route.
 # ---------------------------------------------------------------------------
 
 Profile = Callable[[np.ndarray], np.ndarray]
 
 
-def _microstretch_entries(f: Mat2, alpha: np.ndarray):
-    c, s = np.cos(alpha), np.sin(alpha)
-    x11 = c * f.e11 + s * f.e21
-    x12 = c * f.e12 + s * f.e22
-    x21 = -s * f.e11 + c * f.e21
-    x22 = -s * f.e12 + c * f.e22
-    return x11, x12, x21, x22
-
-
 def shear_stretch_profile(f: Mat2, w: Weights) -> Profile:
     """Vectorized alpha -> shear_stretch_energy(R(alpha), f, w)."""
     require_gl_plus(f)
-    mu, muc = w.mu, w.muc
+    (e11, e12, e21, e22), mu, muc = f.entries(), w.mu, w.muc
 
     def profile(alpha):
         a = np.asarray(alpha, dtype=float)
-        x11, x12, x21, x22 = _microstretch_entries(f, a)
-        sym_sq = (x11 - 1.0) ** 2 + (x22 - 1.0) ** 2 + 0.5 * (x12 + x21) ** 2
-        skew_sq = 0.5 * (x12 - x21) ** 2
-        return mu * sym_sq + muc * skew_sq
+        x11, x12, x21, x22 = _microstretch(np.cos(a), np.sin(a), e11, e12, e21, e22)
+        return _sym_skew_energy(x11, x12, x21, x22, mu, muc)
 
     return profile
 
@@ -336,15 +321,12 @@ def shear_stretch_profile(f: Mat2, w: Weights) -> Profile:
 def cofactor_shear_profile(f: Mat2, w: Weights) -> Profile:
     """Vectorized alpha -> cofactor_energy(R(alpha), f, w)."""
     require_gl_plus(f)
-    mu, muc = w.mu, w.muc
+    (e11, e12, e21, e22), mu, muc = f.entries(), w.mu, w.muc
 
     def profile(alpha):
         a = np.asarray(alpha, dtype=float)
-        x11, x12, x21, x22 = _microstretch_entries(f, a)
-        y11, y12, y21, y22 = x22, -x12, -x21, x11
-        sym_sq = (y11 - 1.0) ** 2 + (y22 - 1.0) ** 2 + 0.5 * (y12 + y21) ** 2
-        skew_sq = 0.5 * (y12 - y21) ** 2
-        return mu * sym_sq + muc * skew_sq
+        x11, x12, x21, x22 = _microstretch(np.cos(a), np.sin(a), e11, e12, e21, e22)
+        return _sym_skew_energy(x22, -x12, -x21, x11, mu, muc)
 
     return profile
 
@@ -358,44 +340,20 @@ def log_strain_profile(f: Mat2, w: Weights, undefined_value: float = 1e9) -> Pro
     sentinel only needs to exceed the attainable minimum.
     """
     require_gl_plus(f)
-    mu, muc = w.mu, w.muc
-    d = f.det()
+    (e11, e12, e21, e22), d, mu, muc = f.entries(), f.det(), w.mu, w.muc
+    sentinel = float(undefined_value)
 
     def profile(alpha):
         arr = np.asarray(alpha, dtype=float)
-        scalar = arr.ndim == 0
-        a = np.atleast_1d(arr).astype(float)
-        x11, x12, x21, x22 = _microstretch_entries(f, a)
-        t = x11 + x22
-        disc = t * t - 4.0 * d
-        tol = _LOG_BRANCH_TOL * np.maximum(1.0, np.maximum(t * t, 4.0 * abs(d)))
-        out = np.full(a.shape, float(undefined_value))
-
-        def fill(mask, const, coeff, shift):
-            l11 = const + coeff * (x11[mask] - shift)
-            l12 = coeff * x12[mask]
-            l21 = coeff * x21[mask]
-            l22 = const + coeff * (x22[mask] - shift)
-            sym_sq = l11**2 + l22**2 + 0.5 * (l12 + l21) ** 2
-            skew_sq = 0.5 * (l12 - l21) ** 2
-            out[mask] = mu * sym_sq + muc * skew_sq
-
-        m = disc < -tol
-        if m.any():
-            half_t = 0.5 * t[m]
-            b = 0.5 * np.sqrt(-disc[m])
-            fill(m, 0.5 * math.log(d), np.arctan2(b, half_t) / b, half_t)
-        m = (disc > tol) & (t > 0.0)
-        if m.any():
-            sq = np.sqrt(disc[m])
-            lam1 = 0.5 * (t[m] + sq)
-            lam2 = d / lam1
-            fill(m, np.log(lam2), np.log1p(sq / lam2) / sq, lam2)
-        m = (np.abs(disc) <= tol) & (t > 0.0)
-        if m.any():
-            lam = 0.5 * t[m]
-            fill(m, np.log(lam), 1.0 / lam, lam)
-
-        return float(out[0]) if scalar else out
+        a = np.atleast_1d(arr)
+        out = np.full(a.shape, sentinel)
+        x11, x12, x21, x22 = _microstretch(np.cos(a), np.sin(a), e11, e12, e21, e22)
+        for m, l11, l12, l21, l22 in _log_cases(x11, x12, x21, x22, d):
+            out[m] = _sym_skew_energy(l11, l12, l21, l22, mu, muc, 0.0)
+        return float(out[0]) if arr.ndim == 0 else out
 
     return profile
+
+
+# minimizers imports this module, so it is bound last; reduced_energy uses it
+from . import minimizers  # noqa: E402

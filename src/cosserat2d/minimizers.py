@@ -19,6 +19,7 @@ import numpy as np
 from .energy import Branch, EnergyLevels, critical_energy_levels, shear_stretch_energy
 from .planar import (
     Mat2,
+    _polar_angle,
     normalize_angle,
     polar_angle,
     require_gl_plus,
@@ -71,14 +72,20 @@ def critical_set(f: Mat2) -> CriticalSet:
     inv = trace_invariants(f)
     alpha_p = polar_angle(f)
     pair = (alpha_p, normalize_angle(alpha_p + math.pi))
-    nonclassical = None
-    if inv.tr_u >= 2.0:
-        beta = math.acos(2.0 / inv.tr_u)
-        nonclassical = (
-            normalize_angle(alpha_p + beta),
-            normalize_angle(alpha_p - beta),
-        )
+    _, nonclassical = _pitchfork(inv.tr_u, 2.0, alpha_p)
     return CriticalSet(pair, nonclassical, critical_energy_levels(f))
+
+
+def _pitchfork(tr_u: float, rho: float, alpha_p: float | None = None):
+    # The pitchfork at tr U = rho, unvalidated. Returns (beta, pair): (0.0, None)
+    # below rho; from rho on beta = arccos(rho / tr U) and alpha_p split into
+    # pair = (alpha_p + beta, alpha_p - beta), or pair None when alpha_p is None.
+    if tr_u < rho:
+        return 0.0, None
+    beta = math.acos(rho / tr_u)
+    if alpha_p is None:
+        return beta, None
+    return beta, (normalize_angle(alpha_p + beta), normalize_angle(alpha_p - beta))
 
 
 def relative_rotation_magnitude(tr_u: float, w: Weights) -> float:
@@ -89,14 +96,7 @@ def relative_rotation_magnitude(tr_u: float, w: Weights) -> float:
     """
     if not tr_u > 0.0:
         raise ValueError(f"tr U must be positive, got {tr_u!r}")
-    return _pitchfork_beta(tr_u, w.singular_radius())
-
-
-def _pitchfork_beta(tr_u: float, rho: float) -> float:
-    # beta from tr U > 0 and the singular radius, unvalidated
-    if tr_u < rho:
-        return 0.0
-    return math.acos(rho / tr_u)
+    return _pitchfork(tr_u, w.singular_radius())[0]
 
 
 def optimal_set(f: Mat2, w: Weights) -> MinimizerSet:
@@ -105,17 +105,13 @@ def optimal_set(f: Mat2, w: Weights) -> MinimizerSet:
     The energy field equals the reduced energy; on the pitchfork branch
     both angles realize it.
     """
-    require_gl_plus(f)
     inv = trace_invariants(f)
-    alpha_p = polar_angle(f)
+    alpha_p = _polar_angle(inv.tr_f, inv.tr_jf)
     if classify(w) is Regime.NON_CLASSICAL:
-        rho = w.singular_radius()
-        if inv.tr_u >= rho:
-            beta = math.acos(rho / inv.tr_u)
-            plus = normalize_angle(alpha_p + beta)
-            minus = normalize_angle(alpha_p - beta)
-            value = shear_stretch_energy(rotation(plus), f, w)
-            return MinimizerSet(Branch.PITCHFORK, (plus, minus), value, beta)
+        beta, pair = _pitchfork(inv.tr_u, w.singular_radius(), alpha_p)
+        if pair:
+            value = shear_stretch_energy(rotation(pair[0]), f, w)
+            return MinimizerSet(Branch.PITCHFORK, pair, value, beta)
     value = shear_stretch_energy(rotation(alpha_p), f, w)
     return MinimizerSet(Branch.CLASSICAL, (alpha_p,), value, 0.0)
 

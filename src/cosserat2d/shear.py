@@ -14,12 +14,11 @@ from dataclasses import dataclass
 
 from .energy import _critical_levels, _energy_at
 from .errors import InadmissibleKappa
-from .minimizers import _pitchfork_beta
+from .minimizers import _pitchfork
 from .planar import (
     Mat2,
     _invariants,
     _polar_angle,
-    normalize_angle,
     require_gl_plus,
     trace_invariants,
 )
@@ -66,11 +65,9 @@ def shear_solution(gamma: float) -> ShearSolution:
         raise ValueError(f"matrix entry e12 must be finite, got {gamma!r}")
     tr_f, tr_jf, tr_u, _, _ = _invariants(1.0, gamma, 0.0, 1.0)
     alpha_p = _polar_angle(tr_f, tr_jf)
-    beta = _pitchfork_beta(tr_u, _RHO)
-    plus = normalize_angle(alpha_p + beta)
-    minus = normalize_angle(alpha_p - beta)
-    energy = _energy_at(plus, 1.0, gamma, 0.0, 1.0, _ZERO_COUPLE.mu, _ZERO_COUPLE.muc)
-    return ShearSolution(gamma, alpha_p, (plus, minus), energy, tr_u)
+    _, pair = _pitchfork(tr_u, _RHO, alpha_p)
+    energy = _energy_at(pair[0], 1.0, gamma, 0.0, 1.0, _ZERO_COUPLE.mu, _ZERO_COUPLE.muc)
+    return ShearSolution(gamma, alpha_p, pair, energy, tr_u)
 
 
 def _shear_levels(gamma: float):

@@ -8,6 +8,7 @@ import math
 import pytest
 
 from cosserat2d import Mat2, Weights, rotation, shear_stretch_energy
+from cosserat2d import cli
 from cosserat2d.cli import _Table, main
 
 
@@ -228,6 +229,28 @@ class TestSweepShear:
         assert err.startswith("error: invalid range") and "finite row count" in err
         assert out == "" and not path.exists()
 
+    def test_row_cap_exits_2(self, capsys, tmp_path, monkeypatch):
+        def no_rows(gamma):
+            raise AssertionError("a row was computed")
+
+        monkeypatch.setattr(cli.shear, "shear_solution", no_rows)
+        path = tmp_path / "sweep.csv"
+        code, out, err = run_cli(
+            capsys,
+            "sweep-shear", "--gamma-start", "0", "--gamma-end", "1e15", "--gamma-step", "1",
+            "--out", str(path),
+        )
+        assert code == 2
+        assert err.startswith("error: invalid range") and "more than the cap" in err
+        assert out == "" and not path.exists()
+
+    def test_row_cap_is_inclusive(self):
+        # values are lazy, so neither call builds a row
+        first, last, _ = cli._sweep_values(0.0, cli.MAX_ROWS - 1.0, 1.0)
+        assert (first, last) == (0.0, cli.MAX_ROWS - 1.0)
+        with pytest.raises(cli.PlanarCosseratError, match="more than the cap"):
+            cli._sweep_values(0.0, float(cli.MAX_ROWS), 1.0)
+
     def test_overflowing_row_exits_2(self, capsys, tmp_path):
         path = tmp_path / "sweep.csv"
         code, out, err = run_cli(
@@ -308,6 +331,21 @@ class TestBifurcation:
         )
         assert code == 2
         assert err.startswith("error: invalid range") and "finite row count" in err
+        assert out == "" and not path.exists()
+
+    def test_row_cap_exits_2(self, capsys, tmp_path, monkeypatch):
+        def no_rows(*args):
+            raise AssertionError("a row was computed")
+
+        monkeypatch.setattr(cli.minimizers, "_pitchfork", no_rows)
+        path = tmp_path / "bifurcation.csv"
+        code, out, err = run_cli(
+            capsys,
+            "bifurcation", "--tru-start", "1", "--tru-end", "1e15", "--tru-step", "1",
+            "--out", str(path),
+        )
+        assert code == 2
+        assert err.startswith("error: invalid range") and "more than the cap" in err
         assert out == "" and not path.exists()
 
     def test_nonpositive_range_rejected(self, capsys):

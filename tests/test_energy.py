@@ -392,6 +392,7 @@ class TestLogStrainEnergy:
             log_strain_energy(rotation(math.pi), Mat2.identity(), Weights(1.0, 1.0))
 
     def test_profile_matches_scalar(self):
+        # the scalar energy shares the profile's log; scipy's logm is independent
         f = random_gl_plus(RNG)
         w = Weights(1.5, 0.7)
         profile = log_strain_profile(f, w)
@@ -402,6 +403,10 @@ class TestLogStrainEnergy:
             except LogUndefined:
                 continue
             assert profile(a) == pytest.approx(expected, rel=1e-10, abs=1e-12)
+            lg = np.real(logm((rotation(a).transpose() @ f).as_array()))
+            sym, skew = 0.5 * (lg + lg.T), 0.5 * (lg - lg.T)
+            reference = w.mu * np.sum(sym**2) + w.muc * np.sum(skew**2)
+            assert profile(a) == pytest.approx(reference, rel=1e-9, abs=1e-12)
 
     def test_profile_sentinel_on_undefined_arc(self):
         profile = log_strain_profile(Mat2.identity(), Weights(1.0, 1.0), undefined_value=123.0)

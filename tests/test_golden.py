@@ -2,22 +2,30 @@
 
 The digests were recorded before the closed forms moved onto private float
 cores and the table commands onto streamed column-spec emission; these
-tests hold both refactors to bit-identical results. They depend on the
-platform's libm (cos, sin, atan2, acos), so they were recorded with CPython
-3.11 on x86-64 Linux (glibc); another libm may differ in the last bit.
+tests hold both refactors to bit-identical results. The profile digest was
+recorded before each closed form was reduced to one definition, and holds
+the grid profiles to the same bits. They depend on the platform's libm
+(cos, sin, atan2, acos) and, for the profiles, on numpy's own ufunc loops
+(cos, sin, log, log1p, arctan2, sqrt), so they were recorded with CPython
+3.11 and numpy 2.4 on x86-64 Linux (glibc, AVX-512); another libm, numpy
+build or CPU may differ in the last bit.
 """
 
 import hashlib
 import math
 import random
 
+import numpy as np
 import pytest
 
 from cosserat2d import (
     Mat2,
     Weights,
+    cofactor_energy,
+    cofactor_shear_profile,
     critical_energy_levels,
     critical_set,
+    log_strain_profile,
     optimal_set,
     polar_angle,
     reduced_energy,
@@ -25,6 +33,8 @@ from cosserat2d import (
     rotation,
     shear_solution,
     shear_stretch_energy,
+    shear_stretch_profile,
+    signed_defect_profile,
     trace_invariants,
 )
 from cosserat2d.cli import main
@@ -119,8 +129,8 @@ def _gammas(rng, n):
     return out
 
 
-def _matrices(rng, n):
-    """GL+(2) matrices with entries in [-2, 2], a fifth scaled by up to 1e+-150."""
+def _matrices(rng, n, max_exp=150.0):
+    """GL+(2) matrices with entries in [-2, 2], a fifth scaled by up to 1e+-max_exp."""
     out = [Mat2(1.0, 0.0, 0.0, 1.0), Mat2(1.0, -0.0, -0.0, 1.0), Mat2(-1.0, 0.0, 0.0, -1.0),
            Mat2(3.0, 0.0, 0.0, 1.0), Mat2(1.0, 2.0, 0.0, 1.0)]
     while len(out) < n:
@@ -128,7 +138,7 @@ def _matrices(rng, n):
         if e[0] * e[3] - e[1] * e[2] < 0.05:
             continue
         if rng.random() < 0.2:
-            scale = 10.0 ** rng.uniform(-150.0, 150.0)
+            scale = 10.0 ** rng.uniform(-max_exp, max_exp)
             e = [scale * v for v in e]
         out.append(Mat2(*e))
     return out
@@ -170,3 +180,37 @@ CLOSED_FORM_SHA256 = "9447abefbd1dc9e11c72ecf3709a1abbf005895ba41ad898f1b16c79c3
 def test_closed_form_results_bits():
     digest = hashlib.sha256(closed_form_reprs().encode()).hexdigest()
     assert digest == CLOSED_FORM_SHA256
+
+
+def profile_digest(n=120, seed=15070548):
+    """SHA-256 over the grid profiles and their scalar energies on n seeded inputs.
+
+    Each matrix gets its four profiles on a 4097-angle grid (float64 bytes)
+    and at single angles, among them the polar angle plus pi, where the
+    principal logarithm is undefined and log_strain_profile returns its
+    sentinel; the scalar energies at the same angles come as float hex.
+    """
+    rng = random.Random(seed)
+    grid = np.linspace(-math.pi, math.pi, 4097)
+    h = hashlib.sha256()
+    for f in _matrices(rng, n, max_exp=100.0):
+        w = _weights(rng)
+        alpha_p = polar_angle(f)
+        angles = [0.0, -0.0, math.pi, alpha_p, alpha_p + math.pi,
+                  *(rng.uniform(-math.pi, math.pi) for _ in range(3))]
+        for profile in (shear_stretch_profile(f, w), cofactor_shear_profile(f, w),
+                        log_strain_profile(f, w), signed_defect_profile(f)):
+            h.update(np.asarray(profile(grid), dtype=float).tobytes())
+            h.update(" ".join(float(profile(a)).hex() for a in angles).encode())
+        for a in angles:
+            r = rotation(a)
+            h.update(f"{shear_stretch_energy(r, f, w).hex()} {cofactor_energy(r, f, w).hex()}\n"
+                     .encode())
+    return h.hexdigest()
+
+
+PROFILE_SHA256 = "25cdf4869a3b32ea246b6f1cd9125a61071edd21e343d8a3f8db3b0750ef1421"
+
+
+def test_profile_results_bits():
+    assert profile_digest() == PROFILE_SHA256
