@@ -1,11 +1,13 @@
 """Brute-force certification on the circle of rotation angles.
 
 grid_minimize evaluates an arbitrary single-angle energy on a dense
-uniform grid over (-pi, pi], clusters the near-minimal cells, and refines
-each cluster with golden-section search. sign_change_scan brackets and
-bisects the roots of a continuous periodic function. Both are deliberately
-derivative-free so they remain robust at the non-smooth bifurcation
-threshold, and both treat the supplied callable as a black box.
+uniform grid over (-pi, pi], in blocks of 4096 angles for larger grids,
+clusters the near-minimal cells, and refines each cluster with Brent's
+method (golden-section steps with safeguarded parabolic steps) from its
+best sample. sign_change_scan brackets and bisects the roots of a
+continuous periodic function. Both are deliberately derivative-free so
+they remain robust at the non-smooth bifurcation threshold, and both treat
+the supplied callable as a black box.
 """
 
 from __future__ import annotations
@@ -27,7 +29,12 @@ CLUSTER_VALUE_TOL = 1e-7
 #: as a plateau.
 PLATEAU_FRACTION = 0.1
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+#: Angles per energy call when grid_minimize evaluates a vectorized energy;
+#: larger grids run in blocks of this size so the temporaries stay in cache.
+_GRID_BLOCK = 4096
+
+_SQRT_EPS = math.sqrt(2.0**-52)
+_GOLDEN_STEP = (3.0 - math.sqrt(5.0)) / 2.0
 
 
 @dataclass(frozen=True)
@@ -37,7 +44,10 @@ class GridResult:
     minima lists (angle, value) pairs for every global minimizer found up
     to value_tol, pairwise separated by more than 2 * angle_tol. plateau
     is set when more than 10% of the grid is near-minimal, which signals
-    a (nearly) constant landscape rather than isolated minima.
+    a (nearly) constant landscape rather than isolated minima. Work
+    counters: the grid costs grid_n evaluations, clusters is the number of
+    near-minimal runs refined, and refine_evaluations counts the
+    single-angle energy calls of refinement and polish.
     """
 
     minima: tuple[tuple[float, float], ...]
@@ -45,6 +55,8 @@ class GridResult:
     value_tol: float
     angle_tol: float
     plateau: bool
+    refine_evaluations: int = 0
+    clusters: int = 0
 
     @property
     def angles(self) -> tuple[float, ...]:
@@ -57,9 +69,16 @@ class GridResult:
 
 def _evaluate_grid(energy, alphas: np.ndarray, vectorized: bool) -> np.ndarray:
     if vectorized:
-        values = np.asarray(energy(alphas), dtype=float)
-        if values.shape != alphas.shape:
-            raise ValueError("vectorized energy must return one value per angle")
+        # One call up to _GRID_BLOCK angles, consecutive blocks beyond; the
+        # energy acts elementwise, so blocking does not change the values.
+        blocks = []
+        for start in range(0, alphas.size, _GRID_BLOCK):
+            block = alphas[start:start + _GRID_BLOCK]
+            out = np.asarray(energy(block), dtype=float)
+            if out.shape != block.shape:
+                raise ValueError("vectorized energy must return one value per angle")
+            blocks.append(out)
+        values = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
     else:
         values = np.fromiter(
             (float(energy(a)) for a in alphas), dtype=float, count=alphas.size
@@ -80,31 +99,62 @@ def _scalar(energy, alpha: float) -> float:
     return value
 
 
-def _golden_section(energy, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    # Standard golden-section descent; one new evaluation per iteration.
-    h = hi - lo
-    x1 = hi - _INV_PHI * h
-    x2 = lo + _INV_PHI * h
-    f1 = _scalar(energy, x1)
-    f2 = _scalar(energy, x2)
-    while h > tol:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            h = hi - lo
-            x1 = hi - _INV_PHI * h
-            f1 = _scalar(energy, x1)
+def _brent(energy, lo: float, hi: float, x: float, fx: float, tol: float):
+    # Brent's minimizer (Algorithms for Minimization without Derivatives,
+    # 1973, ch. 5) on (lo, hi) from a known point x inside it with value fx:
+    # safeguarded parabolic steps through the three best points, golden-
+    # section steps whenever a parabola is rejected. Stops once the bracket
+    # around x is about 4 * (tol + sqrt(eps) |x|) wide; only ever moves x to
+    # a point of lower or equal value, so fx never rises above the seed.
+    w = v = x
+    fw = fv = fx
+    d = e = 0.0
+    while True:
+        m = 0.5 * (lo + hi)
+        tol1 = _SQRT_EPS * abs(x) + tol
+        tol2 = 2.0 * tol1
+        if abs(x - m) <= tol2 - 0.5 * (hi - lo):
+            return x, fx
+        p = q = r = 0.0
+        if abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            else:
+                q = -q
+            r, e = e, d
+        if abs(p) < abs(0.5 * q * r) and q * (lo - x) < p < q * (hi - x):
+            d = p / q  # parabolic step, kept tol2 away from the ends
+            if (x + d) - lo < tol2 or hi - (x + d) < tol2:
+                d = tol1 if x < m else -tol1
         else:
-            lo, x1, f1 = x1, x2, f2
-            h = hi - lo
-            x2 = lo + _INV_PHI * h
-            f2 = _scalar(energy, x2)
-    mid = 0.5 * (lo + hi)
-    return mid, _scalar(energy, mid)
+            e = (hi if x < m else lo) - x  # golden-section step into the larger part
+            d = _GOLDEN_STEP * e
+        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
+        fu = _scalar(energy, u)
+        if fu <= fx:
+            if u < x:
+                hi = x
+            else:
+                lo = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                lo = u
+            else:
+                hi = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
 
 
 def _parabolic_polish(energy, x: float, fx: float, delta: float = 1e-5) -> tuple[float, float]:
-    # Golden-section placement saturates once value differences near the
-    # minimum fall below floating-point noise; a single three-point parabola
+    # Brent's placement stops where value differences near the minimum
+    # fall below floating-point noise; a single three-point parabola
     # fit with a spacing well above that noise floor recovers the vertex.
     # Still derivative-free; rejected whenever the fit is not convex or the
     # vertex leaves the sampled neighborhood.
@@ -160,10 +210,13 @@ def grid_minimize(
     The energy is sampled at grid_n uniformly spaced angles covering
     (-pi, pi]; cells within CLUSTER_VALUE_TOL of the best sample are
     grouped into circular clusters (the wrap-around cell is treated as
-    adjacent to the first), and each cluster is refined by golden-section
-    search down to a bracket of width refine_tol. Deterministic for fixed
-    inputs. Pass vectorized=True when the energy accepts an ndarray of
-    angles and returns an ndarray of values.
+    adjacent to the first). Each cluster is refined by Brent's method,
+    started at its best sample, until the bracket is about
+    4 * (refine_tol + 1.5e-8 * |angle|) wide, below which value comparisons
+    are rounding noise, and then polished by a three-point parabola fit.
+    Deterministic for fixed inputs. Pass vectorized=True when the energy
+    accepts an ndarray of angles and returns an ndarray of values; grids
+    above 4096 angles are then evaluated in consecutive blocks of 4096.
     """
     if grid_n < 360:
         raise ValueError(f"grid_n must be at least 360, got {grid_n}")
@@ -172,7 +225,7 @@ def grid_minimize(
     values = _evaluate_grid(energy, alphas, vectorized)
 
     best = float(values.min())
-    plateau = bool((values <= best + CLUSTER_VALUE_TOL).mean() > PLATEAU_FRACTION)
+    plateau = np.count_nonzero(values <= best + CLUSTER_VALUE_TOL) / grid_n > PLATEAU_FRACTION
 
     # Near a true minimum the closest sample sits up to f''h^2/8 above the
     # true value, so equal minima can show unequal samples. The local second
@@ -180,8 +233,9 @@ def grid_minimize(
     # grid-local minima are eligible, which keeps the slack from leaking
     # across discontinuities. The final filter below re-applies the strict
     # value tolerance to the refined values.
-    left = np.roll(values, 1)
-    right = np.roll(values, -1)
+    # circular neighbours, as np.roll(values, +-1) at a fraction of its cost
+    left = np.concatenate((values[-1:], values[:-1]))
+    right = np.concatenate((values[1:], values[:1]))
     slack = np.abs(right - 2.0 * values + left)
     near = (
         (values <= left)
@@ -189,17 +243,22 @@ def grid_minimize(
         & (values <= best + CLUSTER_VALUE_TOL + slack)
     )
 
-    candidates: list[tuple[float, float]] = []
+    refine_evaluations = 0
+
+    def refine_energy(alpha: float):
+        nonlocal refine_evaluations
+        refine_evaluations += 1
+        return energy(alpha)
+
+    candidates: list[tuple[float, float]] = []  # one per cluster
     for first, last in _clusters(near):
         lo = -math.pi + h * first  # one cell to the left of the first sample
         hi = -math.pi + h * (last + 2.0)  # one cell to the right of the last
-        angle, value = _golden_section(energy, lo, hi, refine_tol)
-        # keep the better of the refined point and the best grid sample
-        cell = int(np.argmin([values[i % grid_n] for i in range(first, last + 1)]))
-        cell_idx = (first + cell) % grid_n
-        if values[cell_idx] < value:
-            angle, value = float(alphas[cell_idx]), float(values[cell_idx])
-        angle, value = _parabolic_polish(energy, angle, value)
+        # Each cell of a run is a grid-local minimum, so all its samples are
+        # equal and the first is a best one: Brent starts there at no cost.
+        seed = -math.pi + h * (1.0 + first)
+        angle, value = _brent(refine_energy, lo, hi, seed, float(values[first]), refine_tol)
+        angle, value = _parabolic_polish(refine_energy, angle, value)
         candidates.append((normalize_angle(angle), float(value)))
 
     best_refined = min(value for _, value in candidates)
@@ -219,6 +278,8 @@ def grid_minimize(
         value_tol=CLUSTER_VALUE_TOL,
         angle_tol=h,
         plateau=plateau,
+        refine_evaluations=refine_evaluations,
+        clusters=len(candidates),
     )
 
 
@@ -255,16 +316,17 @@ def sign_change_scan(
     alphas = -math.pi + h * np.arange(grid_n)
     values = _evaluate_grid(f, alphas, vectorized)
 
+    # cell i runs from sample i to sample i + 1, the last one across the seam
+    right = np.concatenate((values[1:], values[:1]))
+    hits = np.flatnonzero((values == 0.0) | (values * right < 0.0))
     roots: list[float] = []
-    for i in range(grid_n):
+    for i in hits:
         a0 = float(alphas[i])
         v0 = float(values[i])
-        a1 = a0 + h
-        v1 = float(values[(i + 1) % grid_n])
         if v0 == 0.0:
             roots.append(normalize_angle(a0))
-        elif v0 * v1 < 0.0:
-            roots.append(normalize_angle(_bisect(f, a0, a1, v0, 1e-10)))
+        else:
+            roots.append(normalize_angle(_bisect(f, a0, a0 + h, v0, 1e-10)))
 
     roots.sort()
     deduped: list[float] = []
