@@ -70,15 +70,21 @@ def _workers_arg(parser):
     )
 
 
-def _grid_arg(parser, default=20000):
-    def at_least_360(text):
+def _at_least(minimum, what):
+    def parse(text):
         value = int(text)
-        if value < 360:
-            raise argparse.ArgumentTypeError("grid size must be at least 360")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"{what} must be at least {minimum}")
         return value
 
+    parse.__name__ = "int"  # argparse names the type in "invalid int value: 'x'"
+    return parse
+
+
+def _grid_arg(parser, default=20000):
     parser.add_argument(
-        "--grid-n", type=at_least_360, default=default, help="oracle grid size (>= 360)"
+        "--grid-n", type=_at_least(360, "grid size"), default=default,
+        help="oracle grid size (>= 360)",
     )
 
 
@@ -129,11 +135,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the seeded property suite")
     p.add_argument("--seed", type=int, default=0, help="suite seed (COSSERAT2D_SEED overrides)")
-    p.add_argument("--samples", type=int, default=300, help="random samples per property")
+    p.add_argument(
+        "--samples", type=_at_least(1, "samples"), default=300,
+        help="random samples per property (>= 1)",
+    )
     _grid_arg(p, default=2048)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", default=None)
-    p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
 
     return parser
 
@@ -452,12 +460,7 @@ def _cmd_verify(args) -> int:
     env_seed = os.environ.get("COSSERAT2D_SEED")
     if env_seed is not None:
         seed = int(env_seed)
-    results = selfcheck.run_suite(
-        seed=seed,
-        samples=args.samples,
-        grid_n=args.grid_n,
-        inject_fault=args.inject_fault,
-    )
+    results = selfcheck.run_suite(seed=seed, samples=args.samples, grid_n=args.grid_n)
     passed = all(r.passed for r in results)
     if args.format == "json":
         payload = {

@@ -8,7 +8,7 @@ import math
 import pytest
 
 from cosserat2d import Mat2, Weights, rotation, shear_stretch_energy
-from cosserat2d import cli
+from cosserat2d import cli, selfcheck
 from cosserat2d.cli import _Table, main
 
 
@@ -420,13 +420,42 @@ class TestVerify:
         assert code == 0
         assert "seed=7" in out
 
-    def test_injected_fault_exits_1(self, capsys):
-        code, out, _ = run_cli(
-            capsys,
-            "verify", "--samples", "30", "--grid-n", "720", "--inject-fault",
-        )
+    @staticmethod
+    def _register(monkeypatch, name, tolerance, residuals):
+        def case(rng, i, grid_n):
+            return residuals[i]
+
+        prop = selfcheck.Property(name, tolerance, lambda samples: len(residuals), case)
+        monkeypatch.setitem(selfcheck.PROPERTIES, name, prop)
+
+    def test_injected_fault_exits_1(self, capsys, monkeypatch):
+        self._register(monkeypatch, "always_fails", 1e-12, [1.0])
+        code, out, _ = run_cli(capsys, "verify", "--samples", "30", "--grid-n", "720")
         assert code == 1
-        assert "FAIL" in out
+        assert out.count("FAIL") == 1
+        assert "FAIL  always_fails " in out
+
+    def test_nan_case_fails_its_property(self, capsys, monkeypatch):
+        # a max-fold from 0.0 would drop the NaN and read 0.5, a PASS
+        self._register(monkeypatch, "nan_second_case", 1.0, [0.0, math.nan, 0.5])
+        assert math.isnan(selfcheck.PROPERTIES["nan_second_case"].worst(None, 3))
+        code, out, _ = run_cli(capsys, "verify", "--samples", "30", "--grid-n", "720")
+        assert code == 1
+        assert out.count("FAIL") == 1
+        line = next(line for line in out.splitlines() if "nan_second_case" in line)
+        assert line.startswith("FAIL") and "max_residual=nan" in line
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_samples_below_one_exits_2(self, capsys, samples):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--samples", samples])
+        assert exc.value.code == 2
+        assert "samples must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_run_suite_rejects_samples_below_one(self, samples):
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            selfcheck.run_suite(samples=samples)
 
     def test_env_seed_override(self, capsys, monkeypatch):
         monkeypatch.setenv("COSSERAT2D_SEED", "99")

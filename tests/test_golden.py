@@ -4,11 +4,14 @@ The digests were recorded before the closed forms moved onto private float
 cores and the table commands onto streamed column-spec emission; these
 tests hold both refactors to bit-identical results. The profile digest was
 recorded before each closed form was reduced to one definition, and holds
-the grid profiles to the same bits. They depend on the platform's libm
-(cos, sin, atan2, acos) and, for the profiles, on numpy's own ufunc loops
-(cos, sin, log, log1p, arctan2, sqrt), so they were recorded with CPython
-3.11 and numpy 2.4 on x86-64 Linux (glibc, AVX-512); another libm, numpy
-build or CPU may differ in the last bit.
+the grid profiles to the same bits. The `verify` digests were recorded
+before the properties moved onto one registry of per-case definitions,
+and hold every residual to the same bits. All depend on the platform's
+libm (cos, sin, atan2, acos) and, for the profiles and `verify`, on
+numpy's own ufunc loops (cos, sin, log, log1p, arctan2, sqrt) and, for
+`verify`, its eigensolver, so they were recorded with CPython 3.11 and
+numpy 2.4 on x86-64 Linux (glibc, AVX-512); another libm, numpy build or
+CPU may differ in the last bit.
 """
 
 import hashlib
@@ -51,6 +54,7 @@ BIFURCATION = ["bifurcation", "--tru-start", "0.5", "--tru-end", "4", "--tru-ste
                "--mu", "1", "--muc", "0"]
 BIFURCATION_QUARTER = ["bifurcation", "--tru-start", "0.5", "--tru-end", "6",
                        "--tru-step", "0.125", "--mu", "2", "--muc", "0.5"]
+VERIFY = ["verify", "--samples", "60", "--grid-n", "720"]
 
 CLI_CASES = {
     "sweep_csv": SWEEP + ["--format", "csv"],
@@ -74,6 +78,10 @@ CLI_CASES = {
     "critical_no_branch_json": ["critical", *F_CLASSICAL, "--format", "json"],
     "energy_levels_csv": ["energy-levels", *F_PITCHFORK, "--format", "csv"],
     "energy_levels_json": ["energy-levels", *F_PITCHFORK, "--format", "json"],
+    "verify_json": VERIFY + ["--format", "json"],
+    "verify_text": VERIFY,
+    "verify_seed7_json": ["verify", "--seed", "7", "--samples", "80", "--grid-n", "720",
+                          "--format", "json"],
 }
 
 #: SHA-256 of each case's --out file, recorded before the refactors.
@@ -99,6 +107,9 @@ CLI_SHA256 = {
     "critical_no_branch_json": "0d105d22d66df980bb45057cbd246185ac44f78ac37d1c6def5d5435c0731156",
     "energy_levels_csv": "c4f613ac59141dce60409484f4a935e22f18792f97453c7e984482eace1eabb9",
     "energy_levels_json": "0843c3e0f5b51658560aa0881a91015b99290d140aafb5f051e64fc734ec0909",
+    "verify_json": "480edccb16c000739490d0517ba7c6294b02c8ca45ee14e1c5e4646487ed17ef",
+    "verify_text": "acaf4c6bed9b5daf32170291d64811bf8094cc665f976c253c0f3537a7505d5f",
+    "verify_seed7_json": "15a44ce71b5d96bc4c501a425946908d36c038b10f5249eacc64affaeee8f9cb",
 }
 
 

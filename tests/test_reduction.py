@@ -19,6 +19,7 @@ from cosserat2d import (
     trace_invariants,
 )
 from cosserat2d.selfcheck import (
+    PROPERTIES,
     random_classical_weights,
     random_gl_plus,
     random_nonclassical_case,
@@ -115,11 +116,7 @@ class TestRescaledStretchTrace:
 
 class TestPolarScalingInvariance:
     def test_polar_factor_unchanged(self):
-        for _ in range(300):
-            f, w = random_nonclassical_case(RNG)
-            data = reduction_data(f, w)
-            diff = polar_decompose(f).rotation - polar_decompose(data.ftilde).rotation
-            assert diff.frobenius_norm() < 1e-12
+        assert PROPERTIES["polar_invariant_under_rescaling"].worst(RNG, 300) < 1e-12
 
 
 class TestArgminTransport:
