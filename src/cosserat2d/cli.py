@@ -134,7 +134,10 @@ def build_parser() -> argparse.ArgumentParser:
     _output_args(p, "csv")
 
     p = sub.add_parser("verify", help="run the seeded property suite")
-    p.add_argument("--seed", type=int, default=0, help="suite seed (COSSERAT2D_SEED overrides)")
+    p.add_argument(
+        "--seed", type=_at_least(0, "seed"), default=0,
+        help="suite seed, >= 0 (COSSERAT2D_SEED overrides)",
+    )
     p.add_argument(
         "--samples", type=_at_least(1, "samples"), default=300,
         help="random samples per property (>= 1)",
@@ -459,7 +462,10 @@ def _cmd_verify(args) -> int:
     seed = args.seed
     env_seed = os.environ.get("COSSERAT2D_SEED")
     if env_seed is not None:
-        seed = int(env_seed)
+        try:
+            seed = _at_least(0, "seed")(env_seed)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise ValueError(f"COSSERAT2D_SEED={env_seed!r}: {exc}") from None
     results = selfcheck.run_suite(seed=seed, samples=args.samples, grid_n=args.grid_n)
     passed = all(r.passed for r in results)
     if args.format == "json":
@@ -472,7 +478,8 @@ def _cmd_verify(args) -> int:
                 {
                     "name": r.name,
                     "passed": r.passed,
-                    "max_residual": r.residual,
+                    # strict JSON has no NaN or Infinity token
+                    "max_residual": r.residual if math.isfinite(r.residual) else None,
                     "tolerance": r.tolerance,
                 }
                 for r in results

@@ -25,6 +25,7 @@ from .errors import LogUndefined, NonPositiveSingularValue
 from .planar import (
     Mat2,
     SingularPair,
+    _transpose_times,
     require_gl_plus,
     require_rotation,
     trace_invariants,
@@ -66,8 +67,7 @@ def shear_stretch_energy(r: Mat2, f: Mat2, w: Weights) -> float:
     """
     require_rotation(r)
     require_gl_plus(f)
-    x = r.transpose() @ f
-    return _sym_skew_energy(x.e11, x.e12, x.e21, x.e22, w.mu, w.muc)
+    return _sym_skew_energy(*_transpose_times(r, f), w.mu, w.muc)
 
 
 def energy_expanded(r: Mat2, f: Mat2, w: Weights) -> float:

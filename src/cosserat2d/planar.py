@@ -37,7 +37,14 @@ def circular_distance(a: float, b: float) -> float:
     return abs(normalize_angle(a - b))
 
 
-@dataclass(frozen=True)
+def _finite_entry(name: str, value) -> float:
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"matrix entry {name} must be finite, got {value!r}")
+    return value
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Mat2:
     """A 2x2 real matrix with row-major entries e11, e12, e21, e22.
 
@@ -49,12 +56,12 @@ class Mat2:
     e21: float
     e22: float
 
-    def __post_init__(self):
-        for name in ("e11", "e12", "e21", "e22"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValueError(f"matrix entry {name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
+    def __init__(self, e11: float, e12: float, e21: float, e22: float):
+        # Entries are converted and checked in order, so the first bad one is named.
+        _set_e11(self, _finite_entry("e11", e11))
+        _set_e12(self, _finite_entry("e12", e12))
+        _set_e21(self, _finite_entry("e21", e21))
+        _set_e22(self, _finite_entry("e22", e22))
 
     @classmethod
     def identity(cls) -> "Mat2":
@@ -123,6 +130,11 @@ class Mat2:
     __rmul__ = __mul__
 
 
+# The slot descriptors' setters store past the frozen __setattr__.
+_set_e11, _set_e12, _set_e21, _set_e22 = (
+    Mat2.__dict__[name].__set__ for name in ("e11", "e12", "e21", "e22")
+)
+
 #: Quarter turn, i.e. rotation by +pi/2. Multiplying a vector by this matrix
 #: corresponds to multiplication by the imaginary unit.
 QUARTER_TURN = Mat2(0.0, -1.0, 1.0, 0.0)
@@ -135,10 +147,20 @@ def require_gl_plus(f: Mat2) -> Mat2:
     return f
 
 
+def _transpose_times(r: Mat2, x: Mat2) -> tuple[float, float, float, float]:
+    """Entries of R^T X, bit-identical to (r.transpose() @ x).entries() when finite."""
+    return (
+        r.e11 * x.e11 + r.e21 * x.e21,
+        r.e11 * x.e12 + r.e21 * x.e22,
+        r.e12 * x.e11 + r.e22 * x.e21,
+        r.e12 * x.e12 + r.e22 * x.e22,
+    )
+
+
 def rotation_defect(r: Mat2) -> float:
     """Frobenius norm of R^T R - identity (orthogonality defect)."""
-    g = r.transpose() @ r
-    return math.sqrt((g.e11 - 1.0) ** 2 + g.e12**2 + g.e21**2 + (g.e22 - 1.0) ** 2)
+    g11, g12, g21, g22 = _transpose_times(r, r)
+    return math.sqrt((g11 - 1.0) ** 2 + g12**2 + g21**2 + (g22 - 1.0) ** 2)
 
 
 def require_rotation(r: Mat2) -> Mat2:

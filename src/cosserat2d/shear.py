@@ -19,7 +19,6 @@ from .planar import (
     Mat2,
     _invariants,
     _polar_angle,
-    require_gl_plus,
     trace_invariants,
 )
 from .weights import Weights
@@ -95,6 +94,5 @@ def cancellation_check(f: Mat2) -> bool:
     there the identity rotation belongs to the optimal set of the
     zero-couple-modulus energy.
     """
-    require_gl_plus(f)
     inv = trace_invariants(f)
     return abs(inv.tr_f - 2.0) <= TRACE_TOL and inv.tr_u >= 2.0 - STRETCH_TOL

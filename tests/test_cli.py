@@ -445,6 +445,17 @@ class TestVerify:
         line = next(line for line in out.splitlines() if "nan_second_case" in line)
         assert line.startswith("FAIL") and "max_residual=nan" in line
 
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        code, out, _ = run_cli(
+            capsys, "verify", "--samples", "30", "--grid-n", "720", "--format", "json"
+        )
+        assert code == 1
+        checks = {c["name"]: c for c in json.loads(out, parse_constant=reject)["checks"]}
+        assert checks["nan_second_case"]["max_residual"] is None
+        assert checks["nan_second_case"]["passed"] is False
+
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_samples_below_one_exits_2(self, capsys, samples):
         with pytest.raises(SystemExit) as exc:
@@ -464,6 +475,19 @@ class TestVerify:
         )
         assert code == 0
         assert "seed=99" in out
+
+    def test_negative_seed_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--seed", "-1"])
+        assert exc.value.code == 2
+        assert "argument --seed: seed must be at least 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["-1", "seven"])
+    def test_bad_env_seed_exits_2(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("COSSERAT2D_SEED", value)
+        code, out, err = run_cli(capsys, "verify", "--samples", "1", "--grid-n", "360")
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: COSSERAT2D_SEED={value!r}: ")
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(

@@ -31,6 +31,8 @@ from cosserat2d import (
     singular_values,
     trace_invariants,
 )
+from cosserat2d.energy import _sym_skew_energy
+from cosserat2d.planar import ROTATION_TOL
 from cosserat2d.selfcheck import (
     random_gl_plus,
     random_nonclassical_case,
@@ -69,6 +71,29 @@ class TestShearStretchEnergy:
         f = r @ Mat2(1.0, -0.5, 0.5, 1.0)
         assert shear_stretch_energy(r, f, LIMIT) < 1e-28
         assert shear_stretch_energy(r, f, Weights(1.0, 1.0)) > 0.1
+
+    def test_matches_matrix_product(self):
+        # R^T F from entries must keep the bits of the Mat2 transpose-and-multiply route
+        def via_mat2(r, f, w):
+            x = r.transpose() @ f
+            return _sym_skew_energy(x.e11, x.e12, x.e21, x.e22, w.mu, w.muc)
+
+        rng = np.random.default_rng(62)
+        for _ in range(300):
+            a = rng.uniform(-math.pi, math.pi)
+            near = rotation(a) + Mat2(*rng.uniform(-1.0, 1.0, 4) * ROTATION_TOL / 8.0)
+            w = random_weights(rng)
+            f = random_gl_plus(rng)
+            for r in (rotation(a), near):
+                for scale in (1e-100, 1.0, 1e100):
+                    g = f * scale
+                    assert shear_stretch_energy(r, g, w) == via_mat2(r, g, w)
+
+    def test_overflowing_microstretch_raises_overflow(self):
+        # R^T F has an infinite entry; its square is out of the floating-point range
+        f = Mat2(1.5e308, 0.0, 1.5e308, 1.5e308)
+        with pytest.raises(OverflowError):
+            shear_stretch_energy(rotation(math.pi / 4.0), f, Weights(1.0, 0.5))
 
     def test_nonnegative(self):
         for _ in range(200):

@@ -1,6 +1,8 @@
 """Tests for the 2x2 matrix primitives and angle handling."""
 
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from cosserat2d import (
     singular_values,
     trace_invariants,
 )
-from cosserat2d.planar import rotation_defect
+from cosserat2d.planar import ROTATION_TOL, rotation_defect
 from cosserat2d.selfcheck import random_gl_plus, random_unconstrained
 from cosserat2d.shear import simple_shear
 
@@ -61,6 +63,40 @@ class TestMat2:
         with pytest.raises(ValueError):
             Mat2(float("inf"), 0.0, 0.0, 1.0)
 
+    def test_value_semantics(self):
+        m = Mat2(1, -2.5, np.float64(0.0), 3)
+        assert repr(m) == "Mat2(e11=1.0, e12=-2.5, e21=0.0, e22=3.0)"
+        assert m == Mat2(1.0, -2.5, 0.0, 3.0) and m != Mat2(1.0, -2.5, 0.0, 3.5)
+        assert hash(m) == hash(m.entries())  # a frozen dataclass hashes its field tuple
+        assert not hasattr(m, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m.e11 = 2.0
+        # no new attributes either; CPython 3.11's frozen-slots __setattr__ raises TypeError
+        with pytest.raises((AttributeError, TypeError)):
+            m.extra = 2.0
+        assert pickle.loads(pickle.dumps(m)) == m
+        assert dataclasses.astuple(m) == m.entries()
+        assert dataclasses.replace(m, e12=4) == Mat2(1.0, 4.0, 0.0, 3.0)
+        with pytest.raises(ValueError, match="e22"):
+            dataclasses.replace(m, e22=math.inf)
+
+    def test_entries_are_python_floats(self):
+        m = Mat2(np.float64(1), np.int64(0), 0, np.float32(1))
+        assert all(type(e) is float for e in m.entries())
+        assert type(Mat2(np.float64(1), 0, 0, 1).e11) is float
+
+    @pytest.mark.parametrize("entries, error, match", [
+        ((1.0, math.nan, math.inf, 1.0), ValueError, "entry e12 must be finite, got nan"),
+        ((1.0, 0.0, -math.inf, math.nan), ValueError, "entry e21 must be finite, got -inf"),
+        ((math.nan, "x", 0.0, 1.0), ValueError, "entry e11 must be finite"),
+        ((1.0, "x", math.nan, 1.0), ValueError, "could not convert string to float"),
+        ((1.0, 0.0, None, math.inf), TypeError, "NoneType"),
+        ((1.0, 0.0, 0.0, "1e400"), ValueError, "entry e22 must be finite, got inf"),
+    ])
+    def test_first_bad_entry_in_order_is_reported(self, entries, error, match):
+        with pytest.raises(error, match=match):
+            Mat2(*entries)
+
     def test_matmul_matches_numpy(self):
         a = random_unconstrained(RNG)
         b = random_unconstrained(RNG)
@@ -78,6 +114,22 @@ class TestMat2:
             require_rotation(Mat2.diagonal(1.0, -1.0))  # reflection
         with pytest.raises(NotARotation):
             require_rotation(Mat2.diagonal(2.0, 0.5))
+        # R^T R overflows to inf: a rotation failure, not an error about a hidden entry
+        with pytest.raises(NotARotation, match="defect inf"):
+            require_rotation(Mat2.diagonal(1e200, 1e200))
+
+    def test_rotation_defect_matches_matrix_product(self):
+        def via_mat2(r):
+            g = r.transpose() @ r
+            return math.sqrt((g.e11 - 1.0) ** 2 + g.e12**2 + g.e21**2 + (g.e22 - 1.0) ** 2)
+
+        rng = np.random.default_rng(61)
+        for _ in range(500):
+            a = rng.uniform(-math.pi, math.pi)
+            near = rotation(a) + Mat2(*rng.uniform(-1.0, 1.0, 4) * ROTATION_TOL / 8.0)
+            require_rotation(near)
+            for r in (rotation(a), near, random_unconstrained(rng)):
+                assert rotation_defect(r) == via_mat2(r)
 
     def test_sym_skew_decomposition(self):
         for _ in range(100):
