@@ -87,7 +87,7 @@ def _evaluate_grid(energy, alphas: np.ndarray, vectorized: bool) -> np.ndarray:
     if bad.any():
         idx = int(np.argmax(bad))
         raise NonFiniteEnergy(
-            f"energy is {values[idx]!r} at angle {alphas[idx]!r}"
+            f"energy is {float(values[idx])!r} at angle {float(alphas[idx])!r}"
         )
     return values
 
@@ -152,12 +152,13 @@ def _brent(energy, lo: float, hi: float, x: float, fx: float, tol: float):
                 v, fv = u, fu
 
 
-def _parabolic_polish(energy, x: float, fx: float, delta: float = 1e-5) -> tuple[float, float]:
+def _parabolic_polish(energy, x: float, fx: float) -> tuple[float, float]:
     # Brent's placement stops where value differences near the minimum
     # fall below floating-point noise; a single three-point parabola
-    # fit with a spacing well above that noise floor recovers the vertex.
+    # fit with a spacing of 1e-5, well above that noise floor, recovers the vertex.
     # Still derivative-free; rejected whenever the fit is not convex or the
     # vertex leaves the sampled neighborhood.
+    delta = 1e-5
     f_minus = _scalar(energy, x - delta)
     f_plus = _scalar(energy, x + delta)
     denom = f_minus - 2.0 * fx + f_plus
@@ -202,7 +203,6 @@ def _clusters(near: np.ndarray) -> list[tuple[int, int]]:
 def grid_minimize(
     energy: Callable,
     grid_n: int = 20000,
-    refine_tol: float = 1e-10,
     vectorized: bool = False,
 ) -> GridResult:
     """Locate all global minimizers of a 2*pi-periodic energy.
@@ -212,7 +212,7 @@ def grid_minimize(
     grouped into circular clusters (the wrap-around cell is treated as
     adjacent to the first). Each cluster is refined by Brent's method,
     started at its best sample, until the bracket is about
-    4 * (refine_tol + 1.5e-8 * |angle|) wide, below which value comparisons
+    4 * (1e-10 + 1.5e-8 * |angle|) wide, below which value comparisons
     are rounding noise, and then polished by a three-point parabola fit.
     Deterministic for fixed inputs. Pass vectorized=True when the energy
     accepts an ndarray of angles and returns an ndarray of values; grids
@@ -257,7 +257,7 @@ def grid_minimize(
         # Each cell of a run is a grid-local minimum, so all its samples are
         # equal and the first is a best one: Brent starts there at no cost.
         seed = -math.pi + h * (1.0 + first)
-        angle, value = _brent(refine_energy, lo, hi, seed, float(values[first]), refine_tol)
+        angle, value = _brent(refine_energy, lo, hi, seed, float(values[first]), 1e-10)
         angle, value = _parabolic_polish(refine_energy, angle, value)
         candidates.append((normalize_angle(angle), float(value)))
 

@@ -20,12 +20,15 @@ import sys
 from . import __version__, bruteforce, energy, minimizers, selfcheck, shear
 from .errors import PlanarCosseratError
 from .planar import Mat2, polar_angle, rotation, trace_invariants
-from .weights import Regime, Weights, classify, reduction_data
+from .weights import Regime, Weights, reduction_data
 
 CERTIFY_TOL = 1e-6
 
 #: Most rows a sweep-shear or bifurcation table may have.
 MAX_ROWS = 10**7
+
+#: Largest --grid-n accepted, 50 times the largest grid any caller uses.
+MAX_GRID_N = 10**6
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -44,11 +47,9 @@ def _matrix_arg(parser):
     )
 
 
-def _weight_args(parser, default_mu=1.0, default_muc=0.0):
-    parser.add_argument("--mu", type=float, default=default_mu, help="shear modulus (> 0)")
-    parser.add_argument(
-        "--muc", type=float, default=default_muc, help="couple modulus (>= 0)"
-    )
+def _weight_args(parser):
+    parser.add_argument("--mu", type=float, default=1.0, help="shear modulus (> 0)")
+    parser.add_argument("--muc", type=float, default=0.0, help="couple modulus (>= 0)")
 
 
 def _output_args(parser, default_format):
@@ -70,11 +71,13 @@ def _workers_arg(parser):
     )
 
 
-def _at_least(minimum, what):
+def _bounded_int(what, minimum, maximum=math.inf):
     def parse(text):
         value = int(text)
         if value < minimum:
             raise argparse.ArgumentTypeError(f"{what} must be at least {minimum}")
+        if value > maximum:
+            raise argparse.ArgumentTypeError(f"{what} must be at most {maximum}")
         return value
 
     parse.__name__ = "int"  # argparse names the type in "invalid int value: 'x'"
@@ -83,8 +86,8 @@ def _at_least(minimum, what):
 
 def _grid_arg(parser, default=20000):
     parser.add_argument(
-        "--grid-n", type=_at_least(360, "grid size"), default=default,
-        help="oracle grid size (>= 360)",
+        "--grid-n", type=_bounded_int("grid size", 360, MAX_GRID_N), default=default,
+        help=f"oracle grid size (360 .. {MAX_GRID_N})",
     )
 
 
@@ -135,11 +138,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the seeded property suite")
     p.add_argument(
-        "--seed", type=_at_least(0, "seed"), default=0,
+        "--seed", type=_bounded_int("seed", 0), default=0,
         help="suite seed, >= 0 (COSSERAT2D_SEED overrides)",
     )
     p.add_argument(
-        "--samples", type=_at_least(1, "samples"), default=300,
+        "--samples", type=_bounded_int("samples", 1), default=300,
         help="random samples per property (>= 1)",
     )
     _grid_arg(p, default=2048)
@@ -157,9 +160,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _output(out: str | None):
     if out is None:
         yield sys.stdout
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="") as handle:
             yield handle
+    except OSError as exc:
+        raise PlanarCosseratError(f"cannot write {out!r}: {exc.strerror or exc}") from exc
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -167,8 +173,17 @@ def _emit(text: str, out: str | None) -> None:
         handle.write(text)
 
 
+def _strict(value):
+    # Strict JSON has no NaN or Infinity token: a non-finite float becomes null.
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _format_json(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(_strict(payload), indent=2) + "\n"
 
 
 def _degrees(angles: tuple) -> tuple:
@@ -182,8 +197,9 @@ class _Table:
     the trailing columns. CSV names an angle column NAME, or NAME_deg with
     the value in degrees under --degrees, and folds -0.0 into 0.0. JSON
     writes all NAME_rad, then all NAME_deg columns in the angles' place,
-    keeps -0.0 and ignores --degrees. Rows are written as they come, with
-    the bytes csv.writer and json.dumps(rows, indent=2) write for them.
+    keeps -0.0, writes a non-finite float as null and ignores --degrees.
+    Rows are written as they come, with the bytes csv.writer and
+    json.dumps(rows, indent=2) write for them.
     """
 
     def __init__(self, lead: tuple, angles: tuple = (), trail: tuple = ()):
@@ -229,8 +245,9 @@ class _Table:
                 plain = math.isfinite(sum(values))
             except TypeError:  # None cells
                 plain = False
-            # json.dumps writes NaN, Infinity and null where %s would not
-            handle.write(sep + template % (values if plain else tuple(map(json.dumps, values))))
+            if not plain:  # None and non-finite cells are written as null
+                values = tuple(map(json.dumps, _strict(values)))
+            handle.write(sep + template % values)
             sep = ",\n"
         handle.write("[]\n" if sep == "[\n" else "\n]\n")
 
@@ -261,14 +278,6 @@ def _emit_row(args, table: _Table, row: tuple) -> None:
 
 def _matrix_json(m: Mat2) -> list[list[float]]:
     return [[m.e11, m.e12], [m.e21, m.e22]]
-
-
-def _parse_matrix(entries) -> Mat2:
-    return Mat2(entries[0], entries[1], entries[2], entries[3])
-
-
-def _parse_weights(args) -> Weights:
-    return Weights(args.mu, args.muc)
 
 
 def _sweep_values(start: float, end: float, step: float, positive=False):
@@ -314,18 +323,17 @@ _BIFURCATION = _Table(("tr_u",), ("beta_plus", "beta_minus"))
 
 
 def _cmd_minimize(args) -> int:
-    f = _parse_matrix(args.f)
-    w = _parse_weights(args)
+    f = Mat2(*args.f)
+    w = Weights(args.mu, args.muc)
     ms = minimizers.optimal_set(f, w)
     angles = list(ms.angles)
     alpha_p = polar_angle(f)
-    regime = classify(w)
     report = {
         "command": "minimize",
         "f": _matrix_json(f),
         "mu": w.mu,
         "muc": w.muc,
-        "regime": regime.value,
+        "regime": w.regime.value,
         "branch": ms.branch.value,
         "alpha_p_rad": alpha_p,
         "alpha_p_deg": math.degrees(alpha_p),
@@ -335,16 +343,15 @@ def _cmd_minimize(args) -> int:
         "rotations": [_matrix_json(rotation(a)) for a in angles],
         "energy": ms.energy,
         "beta": ms.beta,
+        "rho": None,  # the rescaling data, set for non-classical weights below
+        "lambda": None,
+        "f_tilde": None,
     }
-    if regime is Regime.NON_CLASSICAL:
+    if w.regime is Regime.NON_CLASSICAL:
         data = reduction_data(f, w)
         report["rho"] = data.rho
         report["lambda"] = data.lam
         report["f_tilde"] = _matrix_json(data.ftilde)
-    else:
-        report["rho"] = None
-        report["lambda"] = None
-        report["f_tilde"] = None
 
     exit_code = EXIT_OK
     if args.certify:
@@ -382,7 +389,7 @@ def _cmd_minimize(args) -> int:
 
 
 def _cmd_critical(args) -> int:
-    f = _parse_matrix(args.f)
+    f = Mat2(*args.f)
     cs = minimizers.critical_set(f)
     inv = trace_invariants(f)
     nc = cs.nonclassical
@@ -410,7 +417,7 @@ def _cmd_critical(args) -> int:
 
 
 def _cmd_energy_levels(args) -> int:
-    f = _parse_matrix(args.f)
+    f = Mat2(*args.f)
     inv = trace_invariants(f)
     levels = energy.critical_energy_levels(f)
     report = {
@@ -442,8 +449,8 @@ def _cmd_sweep_shear(args) -> int:
 
 
 def _cmd_bifurcation(args) -> int:
-    w = _parse_weights(args)
-    if classify(w) is Regime.CLASSICAL:
+    w = Weights(args.mu, args.muc)
+    if w.regime is Regime.CLASSICAL:
         raise PlanarCosseratError(
             "bifurcation table needs non-classical weights (mu > muc)"
         )
@@ -463,7 +470,7 @@ def _cmd_verify(args) -> int:
     env_seed = os.environ.get("COSSERAT2D_SEED")
     if env_seed is not None:
         try:
-            seed = _at_least(0, "seed")(env_seed)
+            seed = _bounded_int("seed", 0)(env_seed)
         except (ValueError, argparse.ArgumentTypeError) as exc:
             raise ValueError(f"COSSERAT2D_SEED={env_seed!r}: {exc}") from None
     results = selfcheck.run_suite(seed=seed, samples=args.samples, grid_n=args.grid_n)
@@ -478,8 +485,7 @@ def _cmd_verify(args) -> int:
                 {
                     "name": r.name,
                     "passed": r.passed,
-                    # strict JSON has no NaN or Infinity token
-                    "max_residual": r.residual if math.isfinite(r.residual) else None,
+                    "max_residual": r.residual,
                     "tolerance": r.tolerance,
                 }
                 for r in results

@@ -30,7 +30,7 @@ from .planar import (
     require_rotation,
     trace_invariants,
 )
-from .weights import Regime, Weights, classify
+from .weights import Regime, Weights
 
 
 class Branch(enum.Enum):
@@ -59,6 +59,13 @@ def _energy_at(alpha: float, e11: float, e12: float, e21: float, e22: float,
     return _sym_skew_energy(x11, x12, x21, x22, mu, muc)
 
 
+def _checked_microstretch(r: Mat2, f: Mat2) -> Mat2:
+    # R^T F as a Mat2 product, after checking R in SO(2) and F in GL+(2)
+    require_rotation(r)
+    require_gl_plus(f)
+    return r.transpose() @ f
+
+
 def shear_stretch_energy(r: Mat2, f: Mat2, w: Weights) -> float:
     """mu*||sym(R^T F - 1)||^2 + muc*||skew(R^T F - 1)||^2.
 
@@ -77,9 +84,7 @@ def energy_expanded(r: Mat2, f: Mat2, w: Weights) -> float:
     Agrees with shear_stretch_energy identically; kept separate so the
     identity can be tested rather than assumed.
     """
-    require_rotation(r)
-    require_gl_plus(f)
-    x = r.transpose() @ f
+    x = _checked_microstretch(r, f)
     tr_x = x.trace()
     tr_x_sq = x.e11**2 + 2.0 * x.e12 * x.e21 + x.e22**2  # tr(X @ X)
     return (
@@ -101,9 +106,7 @@ def ring_energy(r: Mat2, f: Mat2) -> RingEnergy:
     only through t = tr(R^T F), namely t^2/2 - 2t, plus the constant
     ||F||^2/2 - det F + 2. Their sum is shear_stretch_energy(r, f, (1, 0)).
     """
-    require_rotation(r)
-    require_gl_plus(f)
-    t = (r.transpose() @ f).trace()
+    t = _checked_microstretch(r, f).trace()
     wring = 0.5 * t * t - 2.0 * t
     cring = 0.5 * f.frobenius_sq() - f.det() + 2.0
     return RingEnergy(wring, cring)
@@ -194,7 +197,7 @@ def reduced_energy(f: Mat2, w: Weights) -> ReducedEnergy:
     exactly at tr U = singular radius and is continuous there; the
     pitchfork tag applies from the threshold on (right-continuous).
     """
-    if classify(w) is Regime.CLASSICAL:
+    if w.regime is Regime.CLASSICAL:
         inv = trace_invariants(f)
         return ReducedEnergy(
             w.mu * (inv.frob_f**2 - 2.0 * inv.tr_u + 2.0), Branch.CLASSICAL
@@ -226,9 +229,7 @@ def cofactor_energy(r: Mat2, f: Mat2, w: Weights) -> float:
     cofactor of R^T F is the transpose of R^T applied to the transformed
     gradient and the sym/skew norms are transpose-invariant.
     """
-    require_rotation(r)
-    require_gl_plus(f)
-    x = r.transpose() @ f
+    x = _checked_microstretch(r, f)
     # cofactor (adjugate) of X: (x22, -x12; -x21, x11)
     return _sym_skew_energy(x.e22, -x.e12, -x.e21, x.e11, w.mu, w.muc)
 
@@ -289,9 +290,7 @@ def log_strain_energy(r: Mat2, f: Mat2, w: Weights) -> float:
 
     Defined only where the principal logarithm of R^T F exists.
     """
-    require_rotation(r)
-    require_gl_plus(f)
-    lg = matrix_log_2x2(r.transpose() @ f)
+    lg = matrix_log_2x2(_checked_microstretch(r, f))
     return _sym_skew_energy(lg.e11, lg.e12, lg.e21, lg.e22, w.mu, w.muc, shift=0.0)
 
 
@@ -331,22 +330,25 @@ def cofactor_shear_profile(f: Mat2, w: Weights) -> Profile:
     return profile
 
 
-def log_strain_profile(f: Mat2, w: Weights, undefined_value: float = 1e9) -> Profile:
+#: Value log_strain_profile reports where the principal logarithm is undefined.
+UNDEFINED_LOG_ENERGY = 1e9
+
+
+def log_strain_profile(f: Mat2, w: Weights) -> Profile:
     """Vectorized alpha -> log_strain_energy(R(alpha), f, w).
 
     Angles where the principal logarithm does not exist are reported with
-    the finite sentinel undefined_value, so the profile stays total on the
-    circle (grid minimizers reject non-finite values by contract). The
+    the finite sentinel UNDEFINED_LOG_ENERGY, so the profile stays total on
+    the circle (grid minimizers reject non-finite values by contract). The
     sentinel only needs to exceed the attainable minimum.
     """
     require_gl_plus(f)
     (e11, e12, e21, e22), d, mu, muc = f.entries(), f.det(), w.mu, w.muc
-    sentinel = float(undefined_value)
 
     def profile(alpha):
         arr = np.asarray(alpha, dtype=float)
         a = np.atleast_1d(arr)
-        out = np.full(a.shape, sentinel)
+        out = np.full(a.shape, UNDEFINED_LOG_ENERGY)
         x11, x12, x21, x22 = _microstretch(np.cos(a), np.sin(a), e11, e12, e21, e22)
         for m, l11, l12, l21, l22 in _log_cases(x11, x12, x21, x22, d):
             out[m] = _sym_skew_energy(l11, l12, l21, l22, mu, muc, 0.0)

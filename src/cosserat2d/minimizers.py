@@ -16,18 +16,23 @@ from typing import Callable
 
 import numpy as np
 
-from .energy import Branch, EnergyLevels, critical_energy_levels, shear_stretch_energy
+from .energy import (
+    Branch,
+    EnergyLevels,
+    _checked_microstretch,
+    critical_energy_levels,
+    shear_stretch_energy,
+)
 from .planar import (
     Mat2,
     _polar_angle,
     normalize_angle,
     polar_angle,
     require_gl_plus,
-    require_rotation,
     rotation,
     trace_invariants,
 )
-from .weights import Regime, Weights, classify
+from .weights import Regime, Weights
 
 
 @dataclass(frozen=True)
@@ -107,7 +112,7 @@ def optimal_set(f: Mat2, w: Weights) -> MinimizerSet:
     """
     inv = trace_invariants(f)
     alpha_p = _polar_angle(inv.tr_f, inv.tr_jf)
-    if classify(w) is Regime.NON_CLASSICAL:
+    if w.regime is Regime.NON_CLASSICAL:
         beta, pair = _pitchfork(inv.tr_u, w.singular_radius(), alpha_p)
         if pair:
             value = shear_stretch_energy(rotation(pair[0]), f, w)
@@ -139,9 +144,7 @@ def microstrain_symmetry_defect(r: Mat2, f: Mat2) -> float:
     Equals |sin(beta)| * tr U / 2 with beta the rotation of R relative to
     the polar factor; zero exactly at the polar factor and its opposite.
     """
-    require_rotation(r)
-    require_gl_plus(f)
-    x = r.transpose() @ f
+    x = _checked_microstretch(r, f)
     return abs(0.5 * (x.e12 - x.e21))
 
 

@@ -34,8 +34,8 @@ from .weights import Weights, reduction_data
 # Random samplers shared with the test suite
 # ---------------------------------------------------------------------------
 
-def random_gl_plus(rng: np.random.Generator, min_det: float = 0.05) -> Mat2:
-    """Entries uniform in [-2, 2], rejected unless det >= min_det.
+def random_gl_plus(rng: np.random.Generator) -> Mat2:
+    """Entries uniform in [-2, 2], rejected unless det >= 0.05.
 
     The rejection keeps samples away from the boundary of GL+(2), where
     the problem is ill-conditioned.
@@ -43,7 +43,7 @@ def random_gl_plus(rng: np.random.Generator, min_det: float = 0.05) -> Mat2:
     while True:
         e = rng.uniform(-2.0, 2.0, size=4)
         f = Mat2(e[0], e[1], e[2], e[3])
-        if f.det() >= min_det:
+        if f.det() >= 0.05:
             return f
 
 
@@ -56,17 +56,13 @@ def random_classical_weights(rng: np.random.Generator) -> Weights:
     return Weights(mu, mu * rng.uniform(1.0, 3.0))
 
 
-def random_nonclassical_weights(
-    rng: np.random.Generator, max_ratio: float = 0.85
-) -> Weights:
+def random_nonclassical_weights(rng: np.random.Generator) -> Weights:
     mu = rng.uniform(0.2, 2.5)
-    return Weights(mu, mu * rng.uniform(0.0, max_ratio))
+    return Weights(mu, mu * rng.uniform(0.0, 0.85))
 
 
 def random_nonclassical_case(
-    rng: np.random.Generator,
-    max_ratio: float = 0.85,
-    bifurcation_gap: float = 0.0,
+    rng: np.random.Generator, bifurcation_gap: float = 0.0
 ) -> tuple[Mat2, Weights]:
     """A random (F, weights) pair with mu > muc.
 
@@ -79,14 +75,14 @@ def random_nonclassical_case(
     """
     while True:
         f = random_gl_plus(rng)
-        w = random_nonclassical_weights(rng, max_ratio)
+        w = random_nonclassical_weights(rng)
         ratio = trace_invariants(f).tr_u / w.singular_radius()
         if abs(ratio - 1.0) > bifurcation_gap:
             return f, w
 
 
-def random_unconstrained(rng: np.random.Generator, scale: float = 2.0) -> Mat2:
-    e = rng.uniform(-scale, scale, size=4)
+def random_unconstrained(rng: np.random.Generator) -> Mat2:
+    e = rng.uniform(-2.0, 2.0, size=4)
     return Mat2(e[0], e[1], e[2], e[3])
 
 

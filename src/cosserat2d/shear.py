@@ -9,7 +9,6 @@ rotation by twice the polar angle.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .energy import _critical_levels, _energy_at
@@ -17,6 +16,7 @@ from .errors import InadmissibleKappa
 from .minimizers import _pitchfork
 from .planar import (
     Mat2,
+    _finite_entry,
     _invariants,
     _polar_angle,
     trace_invariants,
@@ -59,9 +59,7 @@ def shear_solution(gamma: float) -> ShearSolution:
     tr U = sqrt(4 + gamma^2) >= 2 = rho, so the pitchfork branch applies;
     the operations are those of optimal_set, so the results are identical.
     """
-    gamma = float(gamma)
-    if not math.isfinite(gamma):  # the check Mat2 makes on simple_shear(gamma)
-        raise ValueError(f"matrix entry e12 must be finite, got {gamma!r}")
+    gamma = _finite_entry("e12", gamma)  # the check Mat2 makes on simple_shear(gamma)
     tr_f, tr_jf, tr_u, _, _ = _invariants(1.0, gamma, 0.0, 1.0)
     alpha_p = _polar_angle(tr_f, tr_jf)
     _, pair = _pitchfork(tr_u, _RHO, alpha_p)

@@ -40,6 +40,7 @@ class Weights:
 
     @property
     def regime(self) -> Regime:
+        """Classical iff muc >= mu, non-classical iff mu > muc."""
         return Regime.CLASSICAL if self.muc >= self.mu else Regime.NON_CLASSICAL
 
     def scaling(self) -> float:
@@ -57,11 +58,6 @@ class Weights:
         predicate is bit-identical everywhere it is evaluated.
         """
         return 2.0 * self.scaling()
-
-
-def classify(w: Weights) -> Regime:
-    """Classical iff muc >= mu, non-classical iff mu > muc."""
-    return w.regime
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,10 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
 def parse_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
     return rows[0], rows[1:]
@@ -132,6 +136,28 @@ class TestMinimize:
         with pytest.raises(SystemExit) as exc:
             main(["minimize", "--f", "1", "0", "0", "1", "--grid-n", "100"])
         assert exc.value.code == 2
+
+    def test_overflowing_energy_is_json_null(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "minimize", "--f", "3", "0", "0", "1", "--mu", "1e308", "--muc", "0"
+        )
+        assert code == 0
+        assert json.loads(out, parse_constant=reject_constant)["energy"] is None
+        code, out, _ = run_cli(
+            capsys, "minimize", "--f", "3", "0", "0", "1", "--mu", "1e308", "--muc", "0",
+            "--format", "csv",
+        )
+        assert code == 0
+        assert parse_csv(out)[1][0][5] == "inf"
+
+    def test_certify_of_overflowing_energy_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "minimize", "--f", "3", "0", "0", "1", "--mu", "1e308", "--muc", "0",
+            "--certify", "--grid-n", "360",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: energy is inf at angle ")
+        assert "np.float64(" not in err
 
 
 class TestCritical:
@@ -392,18 +418,61 @@ class TestTableEmission:
         assert buffer.getvalue() == self._reference_csv(header, rows)
 
     def test_json_matches_json_dumps(self):
-        rows = self.ROWS[:2]
+        def cell(v):  # strict JSON: a non-finite float is written as null
+            return None if isinstance(v, float) and not math.isfinite(v) else v
+
+        rows = self.ROWS
         payload = [
-            {"a": a, "b_rad": b, "c_rad": c,
-             "b_deg": math.degrees(b), "c_deg": None if c is None else math.degrees(c),
-             "d": d, "e": e}
+            {k: cell(v) for k, v in {
+                "a": a, "b_rad": b, "c_rad": c,
+                "b_deg": math.degrees(b), "c_deg": None if c is None else math.degrees(c),
+                "d": d, "e": e}.items()}
             for a, b, c, d, e in rows
         ]
-        for subset in (rows, rows[:1], []):
+        for subset in (rows, rows[:2], rows[:1], []):
             buffer = io.StringIO()
             self.TABLE.write(buffer, iter(subset), "json", degrees=True)
             expected = json.dumps(payload[: len(subset)], indent=2) + "\n"
             assert buffer.getvalue() == expected
+            json.loads(buffer.getvalue(), parse_constant=reject_constant)
+
+
+class TestBounds:
+    """Exit 2 for an unwritable --out and an oversized --grid-n, before any traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["minimize", "--f", "3", "0", "0", "1"],
+        ["sweep-shear", "--gamma-start", "0", "--gamma-end", "1", "--gamma-step", "0.5"],
+        ["verify", "--samples", "1", "--grid-n", "360"],
+    ])
+    def test_out_in_missing_directory_exits_2(self, capsys, tmp_path, argv):
+        path = tmp_path / "missing" / "x"
+        code, out, err = run_cli(capsys, *argv, "--out", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: cannot write {str(path)!r}: No such file or directory\n"
+
+    def test_out_naming_a_directory_exits_2(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "critical", "--f", "3", "0", "0", "1", "--out", str(tmp_path)
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: cannot write {str(tmp_path)!r}: Is a directory\n"
+
+    @pytest.mark.parametrize("grid_n", [str(cli.MAX_GRID_N + 1), "10000000000000"])
+    @pytest.mark.parametrize("argv", [
+        ["minimize", "--f", "3", "0", "0", "1", "--certify"],
+        ["verify"],
+    ])
+    def test_grid_n_above_bound_exits_2(self, capsys, argv, grid_n):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--grid-n", grid_n])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --grid-n: grid size must be at most 1000000" in err
+
+    def test_grid_n_bound_is_inclusive(self):
+        args = cli.build_parser().parse_args(["verify", "--grid-n", str(cli.MAX_GRID_N)])
+        assert args.grid_n == cli.MAX_GRID_N == 10**6
 
 
 class TestVerify:
@@ -445,14 +514,11 @@ class TestVerify:
         line = next(line for line in out.splitlines() if "nan_second_case" in line)
         assert line.startswith("FAIL") and "max_residual=nan" in line
 
-        def reject(token):
-            raise ValueError(f"non-standard JSON token {token}")
-
         code, out, _ = run_cli(
             capsys, "verify", "--samples", "30", "--grid-n", "720", "--format", "json"
         )
         assert code == 1
-        checks = {c["name"]: c for c in json.loads(out, parse_constant=reject)["checks"]}
+        checks = {c["name"]: c for c in json.loads(out, parse_constant=reject_constant)["checks"]}
         assert checks["nan_second_case"]["max_residual"] is None
         assert checks["nan_second_case"]["passed"] is False
 

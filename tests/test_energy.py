@@ -31,7 +31,7 @@ from cosserat2d import (
     singular_values,
     trace_invariants,
 )
-from cosserat2d.energy import _sym_skew_energy
+from cosserat2d.energy import UNDEFINED_LOG_ENERGY, _sym_skew_energy
 from cosserat2d.planar import ROTATION_TOL
 from cosserat2d.selfcheck import (
     random_gl_plus,
@@ -434,8 +434,8 @@ class TestLogStrainEnergy:
             assert profile(a) == pytest.approx(reference, rel=1e-9, abs=1e-12)
 
     def test_profile_sentinel_on_undefined_arc(self):
-        profile = log_strain_profile(Mat2.identity(), Weights(1.0, 1.0), undefined_value=123.0)
-        assert profile(math.pi) == 123.0
+        profile = log_strain_profile(Mat2.identity(), Weights(1.0, 1.0))
+        assert profile(math.pi) == UNDEFINED_LOG_ENERGY == 1e9
 
 
 class TestShearStretchProfile:

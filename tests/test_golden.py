@@ -15,6 +15,7 @@ CPU may differ in the last bit.
 """
 
 import hashlib
+import json
 import math
 import random
 
@@ -225,3 +226,21 @@ PROFILE_SHA256 = "25cdf4869a3b32ea246b6f1cd9125a61071edd21e343d8a3f8db3b0750ef14
 
 def test_profile_results_bits():
     assert profile_digest() == PROFILE_SHA256
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+#: Every JSON case, plus one whose energy overflows to inf.
+JSON_CASES = {name: argv for name, argv in CLI_CASES.items() if "json" in argv} | {
+    "minimize_overflow_json": ["minimize", "--f", "3", "0", "0", "1", "--mu", "1e308",
+                               "--muc", "0", "--format", "json"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(JSON_CASES))
+def test_json_outputs_parse_strictly(name, tmp_path):
+    path = tmp_path / "out"
+    assert main(JSON_CASES[name] + ["--out", str(path)]) == 0
+    json.loads(path.read_text(), parse_constant=_reject_constant)

@@ -23,6 +23,7 @@ from cosserat2d import (
     rotation,
 )
 from cosserat2d.bruteforce import _bisect, _evaluate_grid
+from cosserat2d.energy import UNDEFINED_LOG_ENERGY
 from cosserat2d.selfcheck import random_gl_plus, random_nonclassical_case
 
 RNG = np.random.default_rng(20260814)
@@ -104,6 +105,12 @@ class TestGridMinimize:
             grid_minimize(
                 lambda a: float("inf") if a > 0 else 1.0, grid_n=720
             )
+        with pytest.raises(NonFiniteEnergy) as exc:
+            grid_minimize(lambda a: np.where(a > 0, np.inf, 1.0), grid_n=720, vectorized=True)
+        # plain floats in the message, not numpy scalar reprs
+        first_positive = float(-math.pi + math.tau / 720 * 361.0)
+        assert str(exc.value) == f"energy is inf at angle {first_positive!r}"
+        assert "np.float64(" not in str(exc.value)
 
     def test_large_grids_evaluated_in_blocks(self):
         profile = shear_stretch_profile(Mat2(1.4, 0.2, -0.3, 0.9), Weights(1.2, 0.1))
@@ -177,14 +184,18 @@ class TestRefinement:
         a0 = 0.7
         seam = -math.pi + 0.5 * math.tau / 720  # between the samples at pi and -pi + h
         cliff = 0.4
+        log_profile = log_strain_profile(Mat2.diagonal(1.2, 1.0 / 1.2), Weights(1.0, 0.5))
+
+        def log_sentinel_floor(a):
+            value = log_profile(a)
+            return np.where(value == UNDEFINED_LOG_ENERGY, -1.0, value)
+
         return {
             "kink": lambda a: np.abs(np.sin((a - a0) / 2.0)),
             "kink_across_seam": lambda a: np.abs(np.sin((a - seam) / 2.0)),
-            # the sentinel below every defined value makes a flat floor
+            # the sentinel moved below every defined value makes a flat floor
             # with a step up at each end of the undefined arc
-            "log_sentinel_floor": log_strain_profile(
-                Mat2.diagonal(1.2, 1.0 / 1.2), Weights(1.0, 0.5), undefined_value=-1.0
-            ),
+            "log_sentinel_floor": log_sentinel_floor,
             "cliff": lambda a: np.where(np.asarray(a) < cliff, 1e9, (np.asarray(a) - cliff) ** 2),
             "constant": lambda a: np.full(np.shape(a), 5.0)[()],
             "cusp": lambda a: np.sqrt(np.abs(np.asarray(a) - a0)),

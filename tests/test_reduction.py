@@ -9,7 +9,6 @@ from cosserat2d import (
     RequiresNonClassical,
     Weights,
     angle_set_distance,
-    classify,
     grid_minimize,
     polar_decompose,
     reduction_data,
@@ -42,12 +41,12 @@ class TestClassify:
         ],
     )
     def test_regimes(self, mu, muc, expected):
-        assert classify(Weights(mu, muc)) is expected
+        assert Weights(mu, muc).regime is expected
 
     def test_exhaustive_and_disjoint(self):
         for _ in range(200):
             w = Weights(RNG.uniform(0.05, 3.0), RNG.uniform(0.0, 3.0))
-            assert classify(w) is (
+            assert w.regime is (
                 Regime.CLASSICAL if w.muc >= w.mu else Regime.NON_CLASSICAL
             )
 
