@@ -29,6 +29,12 @@ CLUSTER_VALUE_TOL = 1e-7
 #: as a plateau.
 PLATEAU_FRACTION = 0.1
 
+#: Refined minima within this many grid steps of a lower one merge into it.
+MERGE_STEPS = 2.0
+
+#: Fewest grid angles either scan accepts: one per degree.
+MIN_GRID_N = 360
+
 #: Angles per energy call when grid_minimize evaluates a vectorized energy;
 #: larger grids run in blocks of this size so the temporaries stay in cache.
 _GRID_BLOCK = 4096
@@ -42,8 +48,8 @@ class GridResult:
     """Outcome of a grid minimization.
 
     minima lists (angle, value) pairs for every global minimizer found up
-    to value_tol, pairwise separated by more than 2 * angle_tol. plateau
-    is set when more than 10% of the grid is near-minimal, which signals
+    to value_tol, pairwise separated by more than MERGE_STEPS * angle_tol.
+    plateau is set when more than 10% of the grid is near-minimal, which signals
     a (nearly) constant landscape rather than isolated minima. Work
     counters: the grid costs grid_n evaluations, clusters is the number of
     near-minimal runs refined, and refine_evaluations counts the
@@ -68,21 +74,24 @@ class GridResult:
 
 
 def _evaluate_grid(energy, alphas: np.ndarray, vectorized: bool) -> np.ndarray:
-    if vectorized:
-        # One call up to _GRID_BLOCK angles, consecutive blocks beyond; the
-        # energy acts elementwise, so blocking does not change the values.
-        blocks = []
-        for start in range(0, alphas.size, _GRID_BLOCK):
-            block = alphas[start:start + _GRID_BLOCK]
-            out = np.asarray(energy(block), dtype=float)
-            if out.shape != block.shape:
-                raise ValueError("vectorized energy must return one value per angle")
-            blocks.append(out)
-        values = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-    else:
-        values = np.fromiter(
-            (float(energy(a)) for a in alphas), dtype=float, count=alphas.size
-        )
+    # Overflow or invalid operations inside the energy surface below as
+    # NonFiniteEnergy, so numpy's floating-point warnings are not shown.
+    with np.errstate(all="ignore"):
+        if vectorized:
+            # One call up to _GRID_BLOCK angles, consecutive blocks beyond; the
+            # energy acts elementwise, so blocking does not change the values.
+            blocks = []
+            for start in range(0, alphas.size, _GRID_BLOCK):
+                block = alphas[start:start + _GRID_BLOCK]
+                out = np.asarray(energy(block), dtype=float)
+                if out.shape != block.shape:
+                    raise ValueError("vectorized energy must return one value per angle")
+                blocks.append(out)
+            values = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+        else:
+            values = np.fromiter(
+                (float(energy(a)) for a in alphas), dtype=float, count=alphas.size
+            )
     bad = ~np.isfinite(values)
     if bad.any():
         idx = int(np.argmax(bad))
@@ -90,6 +99,15 @@ def _evaluate_grid(energy, alphas: np.ndarray, vectorized: bool) -> np.ndarray:
             f"energy is {float(values[idx])!r} at angle {float(alphas[idx])!r}"
         )
     return values
+
+
+def _sample(energy, grid_n: int, vectorized: bool, offset: float):
+    # The grid -pi + h * (offset + i), i = 0 .. grid_n-1, and the energy on it.
+    if grid_n < MIN_GRID_N:
+        raise ValueError(f"grid_n must be at least {MIN_GRID_N}, got {grid_n}")
+    h = math.tau / grid_n
+    alphas = -math.pi + h * (offset + np.arange(grid_n))
+    return h, alphas, _evaluate_grid(energy, alphas, vectorized)
 
 
 def _scalar(energy, alpha: float) -> float:
@@ -218,11 +236,7 @@ def grid_minimize(
     accepts an ndarray of angles and returns an ndarray of values; grids
     above 4096 angles are then evaluated in consecutive blocks of 4096.
     """
-    if grid_n < 360:
-        raise ValueError(f"grid_n must be at least 360, got {grid_n}")
-    h = math.tau / grid_n
-    alphas = -math.pi + h * (1.0 + np.arange(grid_n))
-    values = _evaluate_grid(energy, alphas, vectorized)
+    h, _, values = _sample(energy, grid_n, vectorized, 1.0)
 
     best = float(values.min())
     plateau = np.count_nonzero(values <= best + CLUSTER_VALUE_TOL) / grid_n > PLATEAU_FRACTION
@@ -264,11 +278,11 @@ def grid_minimize(
     best_refined = min(value for _, value in candidates)
     kept = [c for c in candidates if c[1] <= best_refined + CLUSTER_VALUE_TOL]
 
-    # Merge refined minima closer than 2 grid steps, keeping the lower value.
+    # Merge refined minima within MERGE_STEPS grid steps, keeping the lower value.
     kept.sort(key=lambda c: c[1])
     merged: list[tuple[float, float]] = []
     for angle, value in kept:
-        if all(circular_distance(angle, a) > 2.0 * h for a, _ in merged):
+        if all(circular_distance(angle, a) > MERGE_STEPS * h for a, _ in merged):
             merged.append((angle, value))
     merged.sort(key=lambda c: c[0])
 
@@ -286,9 +300,7 @@ def grid_minimize(
 def _bisect(f, lo: float, hi: float, flo: float, tol: float) -> float:
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        fm = float(f(mid))
-        if not math.isfinite(fm):
-            raise NonFiniteEnergy(f"function is {fm!r} at angle {mid!r}")
+        fm = _scalar(f, mid)
         if fm == 0.0:
             return mid
         if (flo < 0.0) != (fm < 0.0):
@@ -310,11 +322,7 @@ def sign_change_scan(
     sample points are reported directly. Returns normalized angles in
     increasing order with near-duplicates removed.
     """
-    if grid_n < 360:
-        raise ValueError(f"grid_n must be at least 360, got {grid_n}")
-    h = math.tau / grid_n
-    alphas = -math.pi + h * np.arange(grid_n)
-    values = _evaluate_grid(f, alphas, vectorized)
+    h, alphas, values = _sample(f, grid_n, vectorized, 0.0)
 
     # cell i runs from sample i to sample i + 1, the last one across the seam
     right = np.concatenate((values[1:], values[:1]))

@@ -86,8 +86,8 @@ def _bounded_int(what, minimum, maximum=math.inf):
 
 def _grid_arg(parser, default=20000):
     parser.add_argument(
-        "--grid-n", type=_bounded_int("grid size", 360, MAX_GRID_N), default=default,
-        help=f"oracle grid size (360 .. {MAX_GRID_N})",
+        "--grid-n", type=_bounded_int("grid size", bruteforce.MIN_GRID_N, MAX_GRID_N),
+        default=default, help=f"oracle grid size ({bruteforce.MIN_GRID_N} .. {MAX_GRID_N})",
     )
 
 
@@ -271,7 +271,11 @@ def _stream_table(args, table: _Table, row, sweep) -> int:
     return EXIT_OK
 
 
-def _emit_row(args, table: _Table, row: tuple) -> None:
+def _report(args, report: dict, table: _Table, row: tuple) -> None:
+    """Write a single-matrix report as JSON, or its one table row as CSV."""
+    if args.format == "json":
+        _emit(_format_json(report), args.out)
+        return
     with _output(args.out) as handle:
         table.write(handle, [row], "csv", args.degrees)
 
@@ -361,6 +365,8 @@ def _cmd_minimize(args) -> int:
         deviation = bruteforce.angle_set_distance(ms.angles, grid.angles)
         energy_dev = abs(grid.best_value - ms.energy)
         passed = deviation <= CERTIFY_TOL
+        merge_radius = bruteforce.MERGE_STEPS * grid.angle_tol
+        pair_separation = 2.0 * ms.beta
         report["certify"] = {
             "grid_n": grid.grid_n,
             "oracle_angles_rad": list(grid.angles),
@@ -368,23 +374,26 @@ def _cmd_minimize(args) -> int:
             "energy_deviation": energy_dev,
             "tolerance": CERTIFY_TOL,
             "passed": passed,
+            "angle_tol": grid.angle_tol,
+            "merge_radius": merge_radius,
+            "pair_separation": pair_separation,
+            # the oracle reports a pair this close as one minimum
+            "degenerate_band": ms.branch is energy.Branch.PITCHFORK
+            and pair_separation <= merge_radius,
         }
         if not passed:
             exit_code = EXIT_CERTIFY_FAILED
 
-    if args.format == "json":
-        _emit(_format_json(report), args.out)
-    else:
-        _emit_row(args, _MINIMIZE_CSV, (
-            ms.branch.value,
-            alpha_p,
-            ms.alpha_plus,
-            ms.alpha_minus if len(angles) > 1 else None,
-            ms.beta,
-            ms.energy,
-            report["rho"],
-            report["lambda"],
-        ))
+    _report(args, report, _MINIMIZE_CSV, (
+        ms.branch.value,
+        alpha_p,
+        ms.alpha_plus,
+        ms.alpha_minus if len(angles) > 1 else None,
+        ms.beta,
+        ms.energy,
+        report["rho"],
+        report["lambda"],
+    ))
     return exit_code
 
 
@@ -403,16 +412,13 @@ def _cmd_critical(args) -> int:
         "nonclassical_deg": [math.degrees(a) for a in nc] if nc else None,
         "levels": {"w1": cs.levels.w1, "w2": cs.levels.w2, "w3": cs.levels.w3},
     }
-    if args.format == "json":
-        _emit(_format_json(report), args.out)
-    else:
-        _emit_row(args, _CRITICAL_CSV, (
-            *cs.classical_pair,
-            *(nc if nc else (None, None)),
-            cs.levels.w1,
-            cs.levels.w2,
-            cs.levels.w3,
-        ))
+    _report(args, report, _CRITICAL_CSV, (
+        *cs.classical_pair,
+        *(nc if nc else (None, None)),
+        cs.levels.w1,
+        cs.levels.w2,
+        cs.levels.w3,
+    ))
     return EXIT_OK
 
 
@@ -429,11 +435,8 @@ def _cmd_energy_levels(args) -> int:
         "w2": levels.w2,
         "w3": levels.w3,
     }
-    if args.format == "json":
-        _emit(_format_json(report), args.out)
-    else:
-        _emit_row(args, _ENERGY_LEVELS_CSV,
-                  (inv.tr_u, inv.det_f, levels.w1, levels.w2, levels.w3))
+    _report(args, report, _ENERGY_LEVELS_CSV,
+            (inv.tr_u, inv.det_f, levels.w1, levels.w2, levels.w3))
     return EXIT_OK
 
 
@@ -513,7 +516,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except (PlanarCosseratError, ValueError) as exc:
+    except ValueError as exc:  # PlanarCosseratError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     except ArithmeticError as exc:  # a result beyond the floating-point range

@@ -71,13 +71,6 @@ class Mat2:
     def diagonal(cls, d1: float, d2: float) -> "Mat2":
         return cls(d1, 0.0, 0.0, d2)
 
-    @classmethod
-    def from_array(cls, array) -> "Mat2":
-        a = np.asarray(array, dtype=float)
-        if a.shape != (2, 2):
-            raise ValueError(f"expected a 2x2 array, got shape {a.shape}")
-        return cls(a[0, 0], a[0, 1], a[1, 0], a[1, 1])
-
     def as_array(self) -> np.ndarray:
         return np.array([[self.e11, self.e12], [self.e21, self.e22]], dtype=float)
 
@@ -98,14 +91,6 @@ class Mat2:
 
     def transpose(self) -> "Mat2":
         return Mat2(self.e11, self.e21, self.e12, self.e22)
-
-    def sym(self) -> "Mat2":
-        off = 0.5 * (self.e12 + self.e21)
-        return Mat2(self.e11, off, off, self.e22)
-
-    def skew(self) -> "Mat2":
-        off = 0.5 * (self.e12 - self.e21)
-        return Mat2(0.0, off, -off, 0.0)
 
     def __matmul__(self, other: "Mat2") -> "Mat2":
         return Mat2(

@@ -35,14 +35,13 @@ from .weights import Weights, reduction_data
 # ---------------------------------------------------------------------------
 
 def random_gl_plus(rng: np.random.Generator) -> Mat2:
-    """Entries uniform in [-2, 2], rejected unless det >= 0.05.
+    """Entries uniform in [-2, 2] (random_unconstrained), rejected unless det >= 0.05.
 
     The rejection keeps samples away from the boundary of GL+(2), where
     the problem is ill-conditioned.
     """
     while True:
-        e = rng.uniform(-2.0, 2.0, size=4)
-        f = Mat2(e[0], e[1], e[2], e[3])
+        f = random_unconstrained(rng)
         if f.det() >= 0.05:
             return f
 

@@ -4,11 +4,15 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from cosserat2d import Mat2, Weights, rotation, shear_stretch_energy
-from cosserat2d import cli, selfcheck
+from cosserat2d import bruteforce, cli, selfcheck
 from cosserat2d.cli import _Table, main
 
 
@@ -61,8 +65,29 @@ class TestMinimize:
         )
         assert code == 0
         report = json.loads(out)
-        assert report["certify"]["passed"]
-        assert report["certify"]["max_angle_deviation"] < 1e-6
+        cert = report["certify"]
+        assert cert["passed"]
+        assert cert["max_angle_deviation"] < 1e-6
+        assert list(cert)[-4:] == [
+            "angle_tol", "merge_radius", "pair_separation", "degenerate_band"
+        ]
+        assert cert["angle_tol"] == math.tau / 20000
+        assert cert["merge_radius"] == 2.0 * cert["angle_tol"]
+        assert cert["pair_separation"] == 2.0 * report["beta"] > cert["merge_radius"]
+        assert cert["degenerate_band"] is False
+
+    def test_certify_classical_has_no_pair(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "minimize", "--f", "1", "2", "0", "1",
+            "--mu", "1", "--muc", "2", "--certify", "--grid-n", "720",
+        )
+        assert code == 0
+        cert = json.loads(out)["certify"]
+        assert cert["passed"]
+        assert cert["angle_tol"] == math.tau / 720
+        assert cert["pair_separation"] == 0.0
+        assert cert["degenerate_band"] is False
 
     def test_certify_fails_in_degenerate_band_exits_3(self, capsys):
         # immediately at the pitchfork threshold the two minima sit below
@@ -77,6 +102,10 @@ class TestMinimize:
         report = json.loads(out)
         assert not report["certify"]["passed"]
         assert len(report["angles_rad"]) == 2
+        # ... which the report names, telling this exit 3 from a real discrepancy
+        cert = report["certify"]
+        assert 0.0 < cert["pair_separation"] <= cert["merge_radius"]
+        assert cert["degenerate_band"] is True
 
     def test_nonpositive_determinant_exits_2(self, capsys):
         code, _, err = run_cli(
@@ -101,7 +130,7 @@ class TestMinimize:
         )
         assert code == 0
         report = json.loads(out)
-        f = Mat2.from_array(report["f"])
+        f = Mat2(*report["f"][0], *report["f"][1])
         w = Weights(report["mu"], report["muc"])
         for angle in report["angles_rad"]:
             value = shear_stretch_energy(rotation(angle), f, w)
@@ -158,6 +187,20 @@ class TestMinimize:
         assert code == 2 and out == ""
         assert err.startswith("error: energy is inf at angle ")
         assert "np.float64(" not in err
+
+    def test_certify_of_overflowing_energy_writes_one_stderr_line(self):
+        # run as a program, so numpy's floating-point warnings would reach stderr
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        env.pop("PYTHONWARNINGS", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "cosserat2d.cli", "minimize", "--f", "3", "0", "0", "1",
+             "--mu", "1e308", "--muc", "0", "--certify", "--grid-n", "360"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: energy is inf at angle ")
 
 
 class TestCritical:
@@ -469,6 +512,14 @@ class TestBounds:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "argument --grid-n: grid size must be at most 1000000" in err
+
+    def test_grid_n_floor_is_inclusive(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--grid-n", str(bruteforce.MIN_GRID_N - 1)])
+        assert exc.value.code == 2
+        assert "argument --grid-n: grid size must be at least 360" in capsys.readouterr().err
+        args = cli.build_parser().parse_args(["verify", "--grid-n", str(bruteforce.MIN_GRID_N)])
+        assert args.grid_n == bruteforce.MIN_GRID_N == 360
 
     def test_grid_n_bound_is_inclusive(self):
         args = cli.build_parser().parse_args(["verify", "--grid-n", str(cli.MAX_GRID_N)])

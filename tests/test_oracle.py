@@ -22,7 +22,7 @@ from cosserat2d import (
     stationarity_residual,
     rotation,
 )
-from cosserat2d.bruteforce import _bisect, _evaluate_grid
+from cosserat2d.bruteforce import MIN_GRID_N, _bisect, _evaluate_grid, _sample
 from cosserat2d.energy import UNDEFINED_LOG_ENERGY
 from cosserat2d.selfcheck import random_gl_plus, random_nonclassical_case
 
@@ -165,15 +165,29 @@ class TestSignChangeScan:
         assert angle_set_distance(roots, (math.pi / 2.0, -math.pi / 2.0)) < 1e-9
 
     def test_non_finite(self):
-        with pytest.raises(NonFiniteEnergy):
+        with pytest.raises(NonFiniteEnergy, match=r"^energy is nan at angle -3\.14"):
             sign_change_scan(lambda a: float("nan"))
+        # finite on the grid, NaN between samples: bisection reports the same way
+        with pytest.raises(NonFiniteEnergy) as exc:
+            sign_change_scan(
+                lambda a: np.sin(a) if np.ndim(a) else float("nan"), 720, vectorized=True
+            )
+        # sin is exactly 0 at sample 360; the first bisected cell is the seam cell
+        h = math.tau / 720
+        a0 = -math.pi + h * 719
+        assert str(exc.value) == f"energy is nan at angle {0.5 * (a0 + (a0 + h))!r}"
+
+    def test_both_scans_share_the_grid_floor(self):
+        assert MIN_GRID_N == 360
+        for scan in (grid_minimize, sign_change_scan):
+            with pytest.raises(ValueError, match="^grid_n must be at least 360, got 359$"):
+                scan(math.sin, grid_n=MIN_GRID_N - 1)
+            assert scan(math.sin, grid_n=MIN_GRID_N)
 
 
 def _grid_samples(energy, grid_n):
     """The samples grid_minimize takes of a vectorized energy: angles -pi + h * (1 + i)."""
-    h = math.tau / grid_n
-    alphas = -math.pi + h * (1.0 + np.arange(grid_n))
-    return _evaluate_grid(energy, alphas, True)
+    return _sample(energy, grid_n, True, 1.0)[2]
 
 
 class TestRefinement:

@@ -131,14 +131,6 @@ class TestMat2:
             for r in (rotation(a), near, random_unconstrained(rng)):
                 assert rotation_defect(r) == via_mat2(r)
 
-    def test_sym_skew_decomposition(self):
-        for _ in range(100):
-            x = random_unconstrained(RNG)
-            s, k = x.sym(), x.skew()
-            assert (s + k - x).frobenius_norm() < 1e-15
-            assert (s - s.transpose()).frobenius_norm() == 0.0
-            assert (k + k.transpose()).frobenius_norm() == 0.0
-
     def test_cayley_hamilton_trace_identity(self):
         for _ in range(500):
             x = random_unconstrained(RNG)
