@@ -111,7 +111,10 @@ def _sample(energy, grid_n: int, vectorized: bool, offset: float):
 
 
 def _scalar(energy, alpha: float) -> float:
-    value = float(energy(alpha))
+    try:
+        value = float(energy(alpha))
+    except OverflowError:  # a float energy beyond the floating-point range
+        value = math.inf
     if not math.isfinite(value):
         raise NonFiniteEnergy(f"energy is {value!r} at angle {alpha!r}")
     return value

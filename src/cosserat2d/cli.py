@@ -12,9 +12,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import errno
 import json
 import math
 import os
+import stat
 import sys
 
 from . import __version__, bruteforce, energy, minimizers, selfcheck, shear
@@ -156,6 +158,27 @@ def build_parser() -> argparse.ArgumentParser:
 # Emission helpers
 # ---------------------------------------------------------------------------
 
+def _cannot_write(out: str, exc: OSError) -> PlanarCosseratError:
+    return PlanarCosseratError(f"cannot write {out!r}: {exc.strerror or exc}")
+
+
+def _check_out(out: str | None) -> None:
+    """Fail before any work when --out names a directory or lies in a
+    missing one or under a file, with the error that opening it would
+    raise. Creates no file; any other failure to open shows when written.
+    """
+    if out is None:
+        return
+    head, tail = os.path.split(out)
+    try:
+        if head and tail and not stat.S_ISDIR(os.stat(head).st_mode):
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+        if os.path.isdir(out):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+    except OSError as exc:
+        raise _cannot_write(out, exc) from exc
+
+
 @contextlib.contextmanager
 def _output(out: str | None):
     if out is None:
@@ -165,7 +188,7 @@ def _output(out: str | None):
         with open(out, "w", encoding="utf-8", newline="") as handle:
             yield handle
     except OSError as exc:
-        raise PlanarCosseratError(f"cannot write {out!r}: {exc.strerror or exc}") from exc
+        raise _cannot_write(out, exc) from exc
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -515,6 +538,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out(args.out)
         return _DISPATCH[args.command](args)
     except ValueError as exc:  # PlanarCosseratError is a ValueError
         print(f"error: {exc}", file=sys.stderr)

@@ -197,13 +197,14 @@ def reduced_energy(f: Mat2, w: Weights) -> ReducedEnergy:
     exactly at tr U = singular radius and is continuous there; the
     pitchfork tag applies from the threshold on (right-continuous).
     """
+    inv = trace_invariants(f)
     if w.regime is Regime.CLASSICAL:
-        inv = trace_invariants(f)
         return ReducedEnergy(
             w.mu * (inv.frob_f**2 - 2.0 * inv.tr_u + 2.0), Branch.CLASSICAL
         )
-    ms = minimizers.optimal_set(f, w)
-    return ReducedEnergy(ms.energy, ms.branch)
+    branch, angles, _ = minimizers._optimal_angles(inv, w)
+    value = _energy_at(angles[0], f.e11, f.e12, f.e21, f.e22, w.mu, w.muc)
+    return ReducedEnergy(value, branch)
 
 
 def reduced_energy_sv(pair: SingularPair | tuple[float, float]) -> float:
@@ -295,36 +296,53 @@ def log_strain_energy(r: Mat2, f: Mat2, w: Weights) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized single-angle profiles for the brute-force grid. They evaluate
-# the defining sym/skew forms entrywise through _microstretch and
-# _sym_skew_energy, never the trace shortcuts used by the closed-form
-# minimizers, so grid certification stays an independent route.
+# Single-angle profiles for the brute-force grid. They evaluate the defining
+# sym/skew forms entrywise through _microstretch and _sym_skew_energy, never
+# the trace shortcuts used by the closed-form minimizers, so grid
+# certification stays an independent route. An array of angles runs through
+# numpy; a single Python float (Brent refinement, the parabolic polish and
+# bisection) runs the same forms on floats, with math's cos and sin. The two
+# routes give the same bits wherever numpy's float64 cos and sin return
+# math's (libm's), since numpy's scalar ** calls C pow as Python's does. A
+# square that overflows raises OverflowError on the float route where numpy
+# returns inf; the oracle reports both as NonFiniteEnergy.
 # ---------------------------------------------------------------------------
 
-Profile = Callable[[np.ndarray], np.ndarray]
+#: A profile maps a float angle to a float energy, and an array of angles
+#: to an array of energies.
+Profile = Callable[[float | np.ndarray], float | np.ndarray]
+
+
+def _cos_sin(alpha):
+    # (cos, sin) of alpha: math's for a single Python float, numpy's for
+    # anything else (arrays, numpy scalars, ints)
+    if type(alpha) is float:
+        return math.cos(alpha), math.sin(alpha)
+    a = np.asarray(alpha, dtype=float)
+    return np.cos(a), np.sin(a)
 
 
 def shear_stretch_profile(f: Mat2, w: Weights) -> Profile:
-    """Vectorized alpha -> shear_stretch_energy(R(alpha), f, w)."""
+    """alpha -> shear_stretch_energy(R(alpha), f, w); float -> float, array -> array."""
     require_gl_plus(f)
     (e11, e12, e21, e22), mu, muc = f.entries(), w.mu, w.muc
 
     def profile(alpha):
-        a = np.asarray(alpha, dtype=float)
-        x11, x12, x21, x22 = _microstretch(np.cos(a), np.sin(a), e11, e12, e21, e22)
+        c, s = _cos_sin(alpha)
+        x11, x12, x21, x22 = _microstretch(c, s, e11, e12, e21, e22)
         return _sym_skew_energy(x11, x12, x21, x22, mu, muc)
 
     return profile
 
 
 def cofactor_shear_profile(f: Mat2, w: Weights) -> Profile:
-    """Vectorized alpha -> cofactor_energy(R(alpha), f, w)."""
+    """alpha -> cofactor_energy(R(alpha), f, w); float -> float, array -> array."""
     require_gl_plus(f)
     (e11, e12, e21, e22), mu, muc = f.entries(), w.mu, w.muc
 
     def profile(alpha):
-        a = np.asarray(alpha, dtype=float)
-        x11, x12, x21, x22 = _microstretch(np.cos(a), np.sin(a), e11, e12, e21, e22)
+        c, s = _cos_sin(alpha)
+        x11, x12, x21, x22 = _microstretch(c, s, e11, e12, e21, e22)
         return _sym_skew_energy(x22, -x12, -x21, x11, mu, muc)
 
     return profile

@@ -12,19 +12,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
 
 from .energy import (
     Branch,
     EnergyLevels,
+    Profile,
     _checked_microstretch,
+    _cos_sin,
     critical_energy_levels,
     shear_stretch_energy,
 )
 from .planar import (
     Mat2,
+    TraceInvariants,
     _polar_angle,
     normalize_angle,
     polar_angle,
@@ -110,15 +110,21 @@ def optimal_set(f: Mat2, w: Weights) -> MinimizerSet:
     The energy field equals the reduced energy; on the pitchfork branch
     both angles realize it.
     """
-    inv = trace_invariants(f)
+    branch, angles, beta = _optimal_angles(trace_invariants(f), w)
+    value = shear_stretch_energy(rotation(angles[0]), f, w)
+    return MinimizerSet(branch, angles, value, beta)
+
+
+def _optimal_angles(inv: TraceInvariants, w: Weights):
+    # (branch, angles, beta) of the optimal set from the invariants of F,
+    # unvalidated: the pitchfork pair from tr U = singular radius on, for
+    # non-classical weights, and the polar angle otherwise.
     alpha_p = _polar_angle(inv.tr_f, inv.tr_jf)
     if w.regime is Regime.NON_CLASSICAL:
         beta, pair = _pitchfork(inv.tr_u, w.singular_radius(), alpha_p)
         if pair:
-            value = shear_stretch_energy(rotation(pair[0]), f, w)
-            return MinimizerSet(Branch.PITCHFORK, pair, value, beta)
-    value = shear_stretch_energy(rotation(alpha_p), f, w)
-    return MinimizerSet(Branch.CLASSICAL, (alpha_p,), value, 0.0)
+            return Branch.PITCHFORK, pair, beta
+    return Branch.CLASSICAL, (alpha_p,), 0.0
 
 
 _DEFAULT_WEIGHTS = Weights(1.0, 0.0)
@@ -148,8 +154,8 @@ def microstrain_symmetry_defect(r: Mat2, f: Mat2) -> float:
     return abs(0.5 * (x.e12 - x.e21))
 
 
-def signed_defect_profile(f: Mat2) -> Callable[[np.ndarray], np.ndarray]:
-    """Vectorized signed skew entry of R(alpha)^T F.
+def signed_defect_profile(f: Mat2) -> Profile:
+    """Signed skew entry of R(alpha)^T F; float -> float, array -> array.
 
     Crosses zero transversally at the polar angle and its opposite, which
     makes it the natural input for a sign-change root scan.
@@ -157,8 +163,7 @@ def signed_defect_profile(f: Mat2) -> Callable[[np.ndarray], np.ndarray]:
     require_gl_plus(f)
 
     def profile(alpha):
-        a = np.asarray(alpha, dtype=float)
-        c, s = np.cos(a), np.sin(a)
+        c, s = _cos_sin(alpha)
         x12 = c * f.e12 + s * f.e22
         x21 = -s * f.e11 + c * f.e21
         return 0.5 * (x12 - x21)

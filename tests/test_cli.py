@@ -483,20 +483,38 @@ class TestTableEmission:
 class TestBounds:
     """Exit 2 for an unwritable --out and an oversized --grid-n, before any traceback."""
 
+    @pytest.fixture
+    def no_oracle_work(self, monkeypatch):
+        # an unwritable --out must fail before the suite or the oracle runs
+        def called(*args, **kwargs):
+            raise AssertionError("work started before --out was checked")
+
+        monkeypatch.setattr(selfcheck, "run_suite", called)
+        monkeypatch.setattr(bruteforce, "grid_minimize", called)
+
     @pytest.mark.parametrize("argv", [
-        ["minimize", "--f", "3", "0", "0", "1"],
+        ["minimize", "--f", "3", "0", "0", "1", "--certify"],
         ["sweep-shear", "--gamma-start", "0", "--gamma-end", "1", "--gamma-step", "0.5"],
         ["verify", "--samples", "1", "--grid-n", "360"],
     ])
-    def test_out_in_missing_directory_exits_2(self, capsys, tmp_path, argv):
+    def test_out_in_missing_directory_exits_2(self, capsys, tmp_path, argv, no_oracle_work):
         path = tmp_path / "missing" / "x"
         code, out, err = run_cli(capsys, *argv, "--out", str(path))
         assert code == 2 and out == ""
         assert err == f"error: cannot write {str(path)!r}: No such file or directory\n"
 
-    def test_out_naming_a_directory_exits_2(self, capsys, tmp_path):
+    def test_out_under_a_file_exits_2(self, capsys, tmp_path, no_oracle_work):
+        (tmp_path / "file").write_text("")
+        path = tmp_path / "file" / "x"
         code, out, err = run_cli(
-            capsys, "critical", "--f", "3", "0", "0", "1", "--out", str(tmp_path)
+            capsys, "verify", "--samples", "1", "--grid-n", "360", "--out", str(path)
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: cannot write {str(path)!r}: Not a directory\n"
+
+    def test_out_naming_a_directory_exits_2(self, capsys, tmp_path, no_oracle_work):
+        code, out, err = run_cli(
+            capsys, "verify", "--samples", "1", "--grid-n", "360", "--out", str(tmp_path)
         )
         assert code == 2 and out == ""
         assert err == f"error: cannot write {str(tmp_path)!r}: Is a directory\n"

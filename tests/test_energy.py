@@ -20,6 +20,7 @@ from cosserat2d import (
     log_strain_energy,
     log_strain_profile,
     matrix_log_2x2,
+    optimal_set,
     polar_decompose,
     reduced_energy,
     reduced_energy_sv,
@@ -277,6 +278,16 @@ class TestReducedEnergy:
             above = reduced_energy((rho / tr0) * (1.0 + eps) * f0, w).value
             # the reduced energy is Lipschitz in tr U across the switch
             assert below == pytest.approx(above, abs=1e3 * eps)
+
+    def test_nonclassical_matches_optimal_set_bits(self):
+        # the float route forms the same products as the Mat2 rotation
+        rng = np.random.default_rng(20261019)
+        for k in range(600):
+            f, w = random_nonclassical_case(rng, bifurcation_gap=1e-3)
+            f = 10.0 ** (150 * (k % 3 - 1)) * f
+            value, branch = reduced_energy(f, w)
+            ms = optimal_set(f, w)
+            assert (value.hex(), branch) == (ms.energy.hex(), ms.branch)
 
     def test_branch_switch_at_threshold(self):
         f0 = Mat2(1.1, 0.3, -0.2, 0.9)

@@ -11,6 +11,7 @@ from cosserat2d import (
     Weights,
     angle_set_distance,
     circular_distance,
+    cofactor_shear_profile,
     grid_minimize,
     log_strain_profile,
     normalize_angle,
@@ -22,7 +23,7 @@ from cosserat2d import (
     stationarity_residual,
     rotation,
 )
-from cosserat2d.bruteforce import MIN_GRID_N, _bisect, _evaluate_grid, _sample
+from cosserat2d.bruteforce import MIN_GRID_N, _bisect, _evaluate_grid, _sample, _scalar
 from cosserat2d.energy import UNDEFINED_LOG_ENERGY
 from cosserat2d.selfcheck import random_gl_plus, random_nonclassical_case
 
@@ -111,6 +112,15 @@ class TestGridMinimize:
         first_positive = float(-math.pi + math.tau / 720 * 361.0)
         assert str(exc.value) == f"energy is inf at angle {first_positive!r}"
         assert "np.float64(" not in str(exc.value)
+
+    def test_overflowing_single_angle_is_non_finite(self):
+        # the float route raises OverflowError where the 0-d route returned inf
+        profile = shear_stretch_profile(Mat2(1e155, 0.0, 0.0, 1e155), LIMIT)
+        with pytest.raises(OverflowError):
+            profile(0.0)
+        with pytest.raises(NonFiniteEnergy) as exc:
+            _scalar(profile, 0.0)
+        assert str(exc.value) == "energy is inf at angle 0.0"
 
     def test_large_grids_evaluated_in_blocks(self):
         profile = shear_stretch_profile(Mat2(1.4, 0.2, -0.3, 0.9), Weights(1.2, 0.1))
@@ -341,3 +351,64 @@ class TestSignChangeScanMatchesLoop:
             f = random_gl_plus(rng)
             residual = lambda a, f=f: stationarity_residual(a, f)  # noqa: E731
             assert sign_change_scan(residual, 720) == _reference_scan(residual, 720)
+
+
+#: The single-angle profiles, each as (F, w) -> profile.
+SINGLE_ANGLE_PROFILES = {
+    "shear_stretch": shear_stretch_profile,
+    "cofactor_shear": cofactor_shear_profile,
+    "signed_defect": lambda f, w: signed_defect_profile(f),
+}
+
+
+def _numpy_route(profile):
+    """The profile with every single angle sent through numpy as a 0-d array."""
+    return lambda alpha: profile(np.asarray(alpha))
+
+
+def _oracle_cases(rng, count):
+    # alternately a near-bifurcation non-classical case and a general one
+    for k in range(count):
+        if k % 2:
+            yield random_nonclassical_case(rng, bifurcation_gap=1e-3)
+        else:
+            yield random_gl_plus(rng), Weights(rng.uniform(0.1, 3.0), rng.uniform(0.0, 3.0))
+
+
+class TestFloatRoute:
+    """A single Python float runs the profiles on floats, with numpy's bits."""
+
+    @pytest.mark.parametrize("name", sorted(SINGLE_ANGLE_PROFILES))
+    @pytest.mark.parametrize("exponent", [0, -100, 100])
+    def test_float_matches_numpy_route(self, name, exponent):
+        rng = np.random.default_rng([20261018, exponent + 100])
+        make = SINGLE_ANGLE_PROFILES[name]
+        for f, w in _oracle_cases(rng, 200):
+            profile = make(10.0**exponent * f, w)
+            alpha_p = polar_angle(f)
+            angles = [0.0, -0.0, math.pi, alpha_p, normalize_angle(alpha_p + math.pi),
+                      *rng.uniform(-math.pi, math.pi, 4).tolist()]
+            for a in angles:
+                value = profile(a)
+                assert type(value) is float
+                assert value.hex() == float(profile(np.asarray(a))).hex()
+
+    @pytest.mark.parametrize("name", ["shear_stretch", "cofactor_shear"])
+    def test_grid_minimize_matches_numpy_route(self, name):
+        rng = np.random.default_rng(921)
+        make = SINGLE_ANGLE_PROFILES[name]
+        for f, w in _oracle_cases(rng, 50):
+            profile = make(f, w)
+            for grid_n in (720, 2048):
+                got = grid_minimize(profile, grid_n, vectorized=True)
+                expected = grid_minimize(_numpy_route(profile), grid_n, vectorized=True)
+                assert got.minima == expected.minima
+                assert got.refine_evaluations == expected.refine_evaluations
+
+    def test_sign_change_scan_matches_numpy_route(self):
+        rng = np.random.default_rng(922)
+        for f, _ in _oracle_cases(rng, 50):
+            profile = signed_defect_profile(f)
+            for grid_n in (720, 2048):
+                roots = sign_change_scan(profile, grid_n, vectorized=True)
+                assert roots == sign_change_scan(_numpy_route(profile), grid_n, vectorized=True)
