@@ -1,10 +1,12 @@
 """Brute-force certification on the circle of rotation angles.
 
 grid_minimize evaluates an arbitrary single-angle energy on a dense
-uniform grid over (-pi, pi], in blocks of 4096 angles for larger grids,
-clusters the near-minimal cells, and refines each cluster with Brent's
-method (golden-section steps with safeguarded parabolic steps) from its
-best sample. sign_change_scan brackets and bisects the roots of a
+uniform grid over (-pi, pi], building the angles and evaluating them in
+blocks of 4096, so the only grid-sized float array is the samples, one
+float per grid angle. It clusters the near-minimal cells, which it looks
+for among the grid-local minima only, and refines each cluster with
+Brent's method (golden-section steps with safeguarded parabolic steps)
+from its best sample. sign_change_scan brackets and bisects the roots of a
 continuous periodic function. Both are deliberately derivative-free so
 they remain robust at the non-smooth bifurcation threshold, and both treat
 the supplied callable as a black box.
@@ -13,6 +15,7 @@ the supplied callable as a black box.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -35,8 +38,10 @@ MERGE_STEPS = 2.0
 #: Fewest grid angles either scan accepts: one per degree.
 MIN_GRID_N = 360
 
-#: Angles per energy call when grid_minimize evaluates a vectorized energy;
-#: larger grids run in blocks of this size so the temporaries stay in cache.
+#: Angles per block of the grid: each block builds its own angles and, for
+#: a vectorized energy, makes one energy call, so the angles and the energy's
+#: temporaries stay in cache and no float array but the samples has the
+#: size of the grid.
 _GRID_BLOCK = 4096
 
 _SQRT_EPS = math.sqrt(2.0**-52)
@@ -73,41 +78,41 @@ class GridResult:
         return min(value for _, value in self.minima)
 
 
-def _evaluate_grid(energy, alphas: np.ndarray, vectorized: bool) -> np.ndarray:
-    # Overflow or invalid operations inside the energy surface below as
-    # NonFiniteEnergy, so numpy's floating-point warnings are not shown.
-    with np.errstate(all="ignore"):
-        if vectorized:
-            # One call up to _GRID_BLOCK angles, consecutive blocks beyond; the
-            # energy acts elementwise, so blocking does not change the values.
-            blocks = []
-            for start in range(0, alphas.size, _GRID_BLOCK):
-                block = alphas[start:start + _GRID_BLOCK]
-                out = np.asarray(energy(block), dtype=float)
-                if out.shape != block.shape:
-                    raise ValueError("vectorized energy must return one value per angle")
-                blocks.append(out)
-            values = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-        else:
-            values = np.fromiter(
-                (float(energy(a)) for a in alphas), dtype=float, count=alphas.size
-            )
-    bad = ~np.isfinite(values)
-    if bad.any():
-        idx = int(np.argmax(bad))
-        raise NonFiniteEnergy(
-            f"energy is {float(values[idx])!r} at angle {float(alphas[idx])!r}"
-        )
-    return values
-
-
 def _sample(energy, grid_n: int, vectorized: bool, offset: float):
     # The grid -pi + h * (offset + i), i = 0 .. grid_n-1, and the energy on it.
+    try:
+        grid_n = operator.index(grid_n)
+    except TypeError:
+        raise ValueError(f"grid_n must be an integer, got {grid_n!r}") from None
     if grid_n < MIN_GRID_N:
         raise ValueError(f"grid_n must be at least {MIN_GRID_N}, got {grid_n}")
     h = math.tau / grid_n
-    alphas = -math.pi + h * (offset + np.arange(grid_n))
-    return h, alphas, _evaluate_grid(energy, alphas, vectorized)
+    values = np.empty(grid_n)
+    # Overflow or invalid operations inside the energy surface below as
+    # NonFiniteEnergy, so numpy's floating-point warnings are not shown.
+    with np.errstate(all="ignore"):
+        for start in range(0, grid_n, _GRID_BLOCK):
+            stop = min(start + _GRID_BLOCK, grid_n)
+            # elementwise the formula above, so each angle has the same bits
+            # as in one array over the whole grid
+            block = -math.pi + h * (offset + np.arange(start, stop))
+            if vectorized:
+                # the energy acts elementwise, so blocking does not change the values
+                out = np.asarray(energy(block), dtype=float)
+                if out.shape != block.shape:
+                    raise ValueError("vectorized energy must return one value per angle")
+            else:
+                out = np.fromiter(
+                    (float(energy(a)) for a in block), dtype=float, count=block.size
+                )
+            values[start:stop] = out
+    finite = np.isfinite(values)
+    if not finite.all():
+        idx = int(np.argmin(finite))
+        raise NonFiniteEnergy(
+            f"energy is {float(values[idx])!r} at angle {-math.pi + h * (offset + idx)!r}"
+        )
+    return h, values
 
 
 def _scalar(energy, alpha: float) -> float:
@@ -195,18 +200,39 @@ def _parabolic_polish(energy, x: float, fx: float) -> tuple[float, float]:
     return x, fx
 
 
-def _clusters(near: np.ndarray) -> list[tuple[int, int]]:
-    # Contiguous runs of near-minimal cells on the circular grid, returned
-    # as (first, last) index pairs where last may exceed n-1 for a run
-    # that wraps around the seam.
-    n = near.size
-    if near.all():
+def _near_cells(values: np.ndarray, best: float) -> np.ndarray:
+    # Increasing indices of the near-minimal cells: the grid-local minima
+    # (each compared with its two circular neighbours) that lie within
+    # CLUSTER_VALUE_TOL plus their slack of the best sample.
+    # Near a true minimum the closest sample sits up to f''h^2/8 above the
+    # true value, so equal minima can show unequal samples. The local second
+    # difference estimates exactly that discretization slack per cell; only
+    # grid-local minima are eligible, which keeps the slack from leaking
+    # across discontinuities. grid_minimize re-applies the strict value
+    # tolerance to the refined values.
+    n = values.size
+    local = np.empty(n, dtype=bool)
+    np.less_equal(values[1:], values[:-1], out=local[1:])
+    local[0] = values[0] <= values[-1]
+    local[:-1] &= values[:-1] <= values[1:]
+    local[-1] &= values[-1] <= values[0]
+    cells = np.flatnonzero(local)
+    v = values[cells]
+    left = values[cells - 1]  # cell 0 reads the last cell, its left neighbour
+    right = values[(cells + 1) % n]
+    slack = np.abs(right - 2.0 * v + left)
+    return cells[v <= best + CLUSTER_VALUE_TOL + slack]
+
+
+def _clusters(cells: np.ndarray, n: int) -> list[tuple[int, int]]:
+    # Contiguous runs of the near-minimal cells, given as increasing indices,
+    # on the circular grid of n cells, returned as (first, last) index pairs
+    # where last may exceed n-1 for a run that wraps around the seam.
+    if cells.size == n:
         return [(0, n - 1)]
-    indices = np.flatnonzero(near)
     runs: list[tuple[int, int]] = []
-    start = prev = int(indices[0])
-    for i in indices[1:]:
-        i = int(i)
+    start = prev = int(cells[0])
+    for i in cells[1:].tolist():
         if i == prev + 1:
             prev = i
             continue
@@ -238,27 +264,17 @@ def grid_minimize(
     Deterministic for fixed inputs. Pass vectorized=True when the energy
     accepts an ndarray of angles and returns an ndarray of values; grids
     above 4096 angles are then evaluated in consecutive blocks of 4096.
+    The angles are built block by block and the near-minimal test runs at
+    the grid-local minima only, so the one grid-sized float array is the
+    samples: about 8 * grid_n bytes. grid_n must be an integer (an
+    np.int64 is accepted, 720.0 is not) of at least MIN_GRID_N; otherwise
+    ValueError is raised.
     """
-    h, _, values = _sample(energy, grid_n, vectorized, 1.0)
+    h, values = _sample(energy, grid_n, vectorized, 1.0)
+    grid_n = values.size  # a plain int, also for an np.int64 argument
 
     best = float(values.min())
     plateau = np.count_nonzero(values <= best + CLUSTER_VALUE_TOL) / grid_n > PLATEAU_FRACTION
-
-    # Near a true minimum the closest sample sits up to f''h^2/8 above the
-    # true value, so equal minima can show unequal samples. The local second
-    # difference estimates exactly that discretization slack per cell; only
-    # grid-local minima are eligible, which keeps the slack from leaking
-    # across discontinuities. The final filter below re-applies the strict
-    # value tolerance to the refined values.
-    # circular neighbours, as np.roll(values, +-1) at a fraction of its cost
-    left = np.concatenate((values[-1:], values[:-1]))
-    right = np.concatenate((values[1:], values[:1]))
-    slack = np.abs(right - 2.0 * values + left)
-    near = (
-        (values <= left)
-        & (values <= right)
-        & (values <= best + CLUSTER_VALUE_TOL + slack)
-    )
 
     refine_evaluations = 0
 
@@ -268,7 +284,7 @@ def grid_minimize(
         return energy(alpha)
 
     candidates: list[tuple[float, float]] = []  # one per cluster
-    for first, last in _clusters(near):
+    for first, last in _clusters(_near_cells(values, best), grid_n):
         lo = -math.pi + h * first  # one cell to the left of the first sample
         hi = -math.pi + h * (last + 2.0)  # one cell to the right of the last
         # Each cell of a run is a grid-local minimum, so all its samples are
@@ -323,16 +339,22 @@ def sign_change_scan(
     Samples grid_n points around the circle, duplicates the wrap-around
     cell, and bisects every sign change down to 1e-10. Exact zeros at
     sample points are reported directly. Returns normalized angles in
-    increasing order with near-duplicates removed.
+    increasing order with near-duplicates removed. grid_n must be an
+    integer of at least MIN_GRID_N, as for grid_minimize.
     """
-    h, alphas, values = _sample(f, grid_n, vectorized, 0.0)
+    h, values = _sample(f, grid_n, vectorized, 0.0)
 
-    # cell i runs from sample i to sample i + 1, the last one across the seam
-    right = np.concatenate((values[1:], values[:1]))
-    hits = np.flatnonzero((values == 0.0) | (values * right < 0.0))
+    # cell i runs from sample i to sample i + 1, the last one across the
+    # seam; a product that underflows to zero brackets no root. The products
+    # are formed block by block, so none is a grid-sized array.
+    hit = values == 0.0
+    for start in range(0, values.size, _GRID_BLOCK):
+        stop = min(start + _GRID_BLOCK, values.size - 1)
+        hit[start:stop] |= values[start:stop] * values[start + 1:stop + 1] < 0.0
+    hit[-1] |= values[-1] * values[0] < 0.0
     roots: list[float] = []
-    for i in hits:
-        a0 = float(alphas[i])
+    for i in np.flatnonzero(hit).tolist():
+        a0 = -math.pi + h * i
         v0 = float(values[i])
         if v0 == 0.0:
             roots.append(normalize_angle(a0))

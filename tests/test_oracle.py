@@ -1,6 +1,8 @@
 """Tests for the brute-force grid minimizer and root scanner."""
 
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +25,15 @@ from cosserat2d import (
     stationarity_residual,
     rotation,
 )
-from cosserat2d.bruteforce import MIN_GRID_N, _bisect, _evaluate_grid, _sample, _scalar
+from cosserat2d.bruteforce import (
+    CLUSTER_VALUE_TOL,
+    MIN_GRID_N,
+    _bisect,
+    _clusters,
+    _near_cells,
+    _sample,
+    _scalar,
+)
 from cosserat2d.energy import UNDEFINED_LOG_ENERGY
 from cosserat2d.selfcheck import random_gl_plus, random_nonclassical_case
 
@@ -136,6 +146,43 @@ class TestGridMinimize:
             one_shot = profile(-math.pi + math.tau / grid_n * (1.0 + np.arange(grid_n)))
             assert values.tobytes() == one_shot.tobytes()
 
+    def test_first_non_finite_sample_named(self):
+        # the first NaN sits at the start of the second block, then in the last cell
+        grid_n = 20000
+        h = math.tau / grid_n
+        for idx in (4096, 19999):
+            first = -math.pi + h * (1.0 + idx)
+            with pytest.raises(NonFiniteEnergy) as exc:
+                grid_minimize(lambda a: np.where(a >= first, np.nan, np.sin(a)), grid_n,
+                              vectorized=True)
+            assert str(exc.value) == f"energy is nan at angle {float(-math.pi + h * (1.0 + idx))!r}"
+
+    def test_scalar_energy_gets_the_grid_elements(self):
+        # one numpy float per call, as iterating the whole angle array gave
+        seen = []
+
+        def energy(alpha):
+            seen.append(alpha)
+            return math.sin(alpha)
+
+        grid_n = 5000
+        _sample(energy, grid_n, False, 1.0)
+        assert all(type(a) is np.float64 for a in seen)
+        one_shot = -math.pi + math.tau / grid_n * (1.0 + np.arange(grid_n))
+        assert np.array(seen).tobytes() == one_shot.tobytes()
+
+    def test_memory_is_the_samples(self):
+        # the samples, 8 bytes per angle, plus the working set of one block
+        grid_n = 200000
+        profile = shear_stretch_profile(Mat2(1.4, 0.2, -0.3, 0.9), Weights(1.2, 0.1))
+        tracemalloc.start()
+        try:
+            grid_minimize(profile, grid_n, vectorized=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * grid_n + 2**20
+
     def test_deterministic(self):
         profile = shear_stretch_profile(Mat2(1.4, 0.2, -0.3, 0.9), Weights(1.2, 0.1))
         g1 = grid_minimize(profile, 2048, vectorized=True)
@@ -195,9 +242,23 @@ class TestSignChangeScan:
             assert scan(math.sin, grid_n=MIN_GRID_N)
 
 
+    @pytest.mark.parametrize("grid_n", [720.5, 720.0, "720"])
+    def test_both_scans_reject_a_non_integral_grid(self, grid_n):
+        message = f"^grid_n must be an integer, got {re.escape(repr(grid_n))}$"
+        for scan in (grid_minimize, sign_change_scan):
+            with pytest.raises(ValueError, match=message):
+                scan(math.sin, grid_n=grid_n)
+
+    def test_numpy_integer_grid_accepted(self):
+        grid = grid_minimize(math.sin, np.int64(720))
+        assert grid == grid_minimize(math.sin, 720)
+        assert type(grid.grid_n) is int
+        assert sign_change_scan(math.sin, np.int64(720)) == sign_change_scan(math.sin, 720)
+
+
 def _grid_samples(energy, grid_n):
     """The samples grid_minimize takes of a vectorized energy: angles -pi + h * (1 + i)."""
-    return _sample(energy, grid_n, True, 1.0)[2]
+    return _sample(energy, grid_n, True, 1.0)[1]
 
 
 class TestRefinement:
@@ -295,9 +356,8 @@ class TestRefinement:
 
 def _reference_scan(f, grid_n=1440, vectorized=False):
     """sign_change_scan as a per-cell loop, the form it had before."""
-    h = math.tau / grid_n
+    h, values = _sample(f, grid_n, vectorized, 0.0)
     alphas = -math.pi + h * np.arange(grid_n)
-    values = _evaluate_grid(f, alphas, vectorized)
     roots = []
     for i in range(grid_n):
         a0 = float(alphas[i])
@@ -412,3 +472,86 @@ class TestFloatRoute:
             for grid_n in (720, 2048):
                 roots = sign_change_scan(profile, grid_n, vectorized=True)
                 assert roots == sign_change_scan(_numpy_route(profile), grid_n, vectorized=True)
+
+
+def _reference_near(values, best):
+    """The near-minimal cells from full-grid neighbour arrays, the form they had before."""
+    left = np.concatenate((values[-1:], values[:-1]))
+    right = np.concatenate((values[1:], values[:1]))
+    slack = np.abs(right - 2.0 * values + left)
+    near = (values <= left) & (values <= right) & (values <= best + CLUSTER_VALUE_TOL + slack)
+    return np.flatnonzero(near)
+
+
+class TestNearCells:
+    """The classification at the grid-local minima selects the same cells."""
+
+    @staticmethod
+    def _check(values):
+        best = float(values.min())
+        cells = _near_cells(values, best)
+        assert cells.tobytes() == _reference_near(values, best).tobytes()
+        return cells
+
+    @pytest.mark.parametrize("name", ["shear_stretch", "cofactor_shear", "log_strain"])
+    def test_profiles(self, name):
+        make = {**SINGLE_ANGLE_PROFILES, "log_strain": log_strain_profile}[name]
+        rng = np.random.default_rng(923)
+        for f, w in _oracle_cases(rng, 50):
+            profile = make(f, w)
+            for grid_n in (720, 4097, 20000):
+                self._check(_grid_samples(profile, grid_n))
+
+    def test_landscapes(self):
+        for energy in TestRefinement._landscapes().values():
+            for grid_n in (720, 4096, 5000):
+                self._check(_grid_samples(energy, grid_n))
+
+    def test_constant(self):
+        n = 720
+        cells = self._check(np.full(n, 5.0))
+        assert cells.tolist() == list(range(n))
+        assert _clusters(cells, n) == [(0, n - 1)]
+
+    def test_run_across_the_seam(self):
+        n = 720
+        values = np.ones(n)
+        values[-3:] = 0.0
+        values[:2] = 0.0
+        cells = self._check(values)
+        assert cells.tolist() == [0, 1, n - 3, n - 2, n - 1]
+        assert _clusters(cells, n) == [(n - 3, n + 1)]
+
+    def test_neighbours_across_the_seam(self):
+        n = 720
+        # cell 0 is not a grid-local minimum: its left neighbour is lower
+        values = np.ones(n)
+        values[-1] = 0.0
+        values[0] = 1e-8
+        assert self._check(values).tolist() == [n - 1]
+        # the slack of the last cell uses cell 0 (2.0) as its right neighbour,
+        # and the slack of cell 0 the last cell as its left one
+        for edge, inner, last in ((0, 1, n - 1), (n - 1, n - 2, 0)):
+            values = np.full(n, 3.0)
+            values[360] = 0.0
+            values[inner], values[edge], values[last] = 1.0, 0.9, 2.0
+            assert self._check(values).tolist() == sorted([360, edge])
+
+    def test_minimum_at_either_end(self):
+        n = 720
+        ramp = np.arange(n, dtype=float)
+        for values, cell in ((ramp, 0), (ramp[::-1].copy(), n - 1)):
+            cells = self._check(values)
+            assert cells.tolist() == [cell]
+            assert _clusters(cells, n) == [(cell, cell)]
+
+    def test_ties_between_neighbours(self):
+        n = 720
+        values = np.ones(n)
+        values[100:102] = 0.0  # two equal minima side by side
+        values[400] = 0.0
+        values[401] = 1e-8  # within the tolerance, but not a grid-local minimum
+        values[402] = 0.0
+        cells = self._check(values)
+        assert cells.tolist() == [100, 101, 400, 402]
+        assert _clusters(cells, n) == [(100, 101), (400, 400), (402, 402)]
