@@ -16,6 +16,7 @@ import errno
 import json
 import math
 import os
+import re
 import stat
 import sys
 
@@ -36,6 +37,27 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_INVALID_INPUT = 2
 EXIT_CERTIFY_FAILED = 3
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads every negative number as a value.
+
+    Python 3.11's argparse reads a token that starts with '-' as an option
+    unless it is a plain negative integer or decimal. Exponent notation such
+    as -1e-3, which repr writes and this program emits, and -inf would then
+    never reach the finiteness checks. No option of this program looks like
+    a number, so the wider pattern only turns such tokens from errors into
+    values.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+
+_NEGATIVE_NUMBER = re.compile(
+    r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE
+)
 
 
 def _matrix_arg(parser):
@@ -94,7 +116,7 @@ def _grid_arg(parser, default=20000):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cosserat2d",
         description=(
             "Energy-minimizing planar Cosserat microrotations in closed form, "

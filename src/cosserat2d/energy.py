@@ -248,8 +248,11 @@ def matrix_log_2x2(x: Mat2) -> Mat2:
     zero). Raises LogUndefined when the spectrum touches (-inf, 0].
     """
     x11, x12, x21, x22 = np.array(x.entries())[:, None]
-    for _, l11, l12, l21, l22 in _log_cases(x11, x12, x21, x22, x.det()):
-        return Mat2(l11[0], l12[0], l21[0], l22[0])
+    # large entries overflow in the case tests; numpy's warnings about that
+    # are not shown, and no value changes
+    with np.errstate(all="ignore"):
+        for _, l11, l12, l21, l22 in _log_cases(x11, x12, x21, x22, x.det()):
+            return Mat2(l11[0], l12[0], l21[0], l22[0])
     raise LogUndefined(
         "an eigenvalue lies on the closed negative axis or its discriminant "
         f"leaves the floating-point range (tr={x.trace()!r}, det={x.det()!r})"
@@ -367,9 +370,11 @@ def log_strain_profile(f: Mat2, w: Weights) -> Profile:
         arr = np.asarray(alpha, dtype=float)
         a = np.atleast_1d(arr)
         out = np.full(a.shape, UNDEFINED_LOG_ENERGY)
-        x11, x12, x21, x22 = _microstretch(np.cos(a), np.sin(a), e11, e12, e21, e22)
-        for m, l11, l12, l21, l22 in _log_cases(x11, x12, x21, x22, d):
-            out[m] = _sym_skew_energy(l11, l12, l21, l22, mu, muc, 0.0)
+        # as in matrix_log_2x2; a single angle runs outside the oracle's errstate
+        with np.errstate(all="ignore"):
+            x11, x12, x21, x22 = _microstretch(np.cos(a), np.sin(a), e11, e12, e21, e22)
+            for m, l11, l12, l21, l22 in _log_cases(x11, x12, x21, x22, d):
+                out[m] = _sym_skew_energy(l11, l12, l21, l22, mu, muc, 0.0)
         return float(out[0]) if arr.ndim == 0 else out
 
     return profile

@@ -44,11 +44,20 @@ def _finite_entry(name: str, value) -> float:
     return value
 
 
+class _StoredInvariants:
+    # A slot outside the dataclass fields, so fields(), astuple, repr, == and
+    # hash never see it. It holds the checked TraceInvariants once known, or
+    # None; a copy or an unpickled Mat2 skips __init__ and leaves it unset.
+    __slots__ = ("_checked_invariants",)
+
+
 @dataclass(frozen=True, slots=True, init=False)
-class Mat2:
+class Mat2(_StoredInvariants):
     """A 2x2 real matrix with row-major entries e11, e12, e21, e22.
 
     Entries must be finite; instances are immutable and safe to share.
+    A Mat2 keeps its checked trace invariants once trace_invariants has
+    computed them.
     """
 
     e11: float
@@ -62,6 +71,7 @@ class Mat2:
         _set_e12(self, _finite_entry("e12", e12))
         _set_e21(self, _finite_entry("e21", e21))
         _set_e22(self, _finite_entry("e22", e22))
+        _set_checked_invariants(self, None)
 
     @classmethod
     def identity(cls) -> "Mat2":
@@ -119,6 +129,7 @@ class Mat2:
 _set_e11, _set_e12, _set_e21, _set_e22 = (
     Mat2.__dict__[name].__set__ for name in ("e11", "e12", "e21", "e22")
 )
+_set_checked_invariants = _StoredInvariants._checked_invariants.__set__
 
 #: Quarter turn, i.e. rotation by +pi/2. Multiplying a vector by this matrix
 #: corresponds to multiplication by the imaginary unit.
@@ -188,9 +199,18 @@ def trace_invariants(f: Mat2) -> TraceInvariants:
 
     tr_jf is the trace of (quarter turn) * F. The stretch trace satisfies
     tr U = sqrt(||F||^2 + 2 det F) and also tr_f^2 + tr_jf^2 = (tr U)^2.
+    The first successful call stores the result on f and later calls return
+    it; an F outside GL+(2) stores nothing and raises on every call.
     """
-    require_gl_plus(f)
-    return TraceInvariants._make(_invariants(f.e11, f.e12, f.e21, f.e22))
+    try:
+        inv = f._checked_invariants
+    except AttributeError:  # a copy or an unpickled Mat2
+        inv = None
+    if inv is None:
+        require_gl_plus(f)
+        inv = TraceInvariants._make(_invariants(f.e11, f.e12, f.e21, f.e22))
+        _set_checked_invariants(f, inv)
+    return inv
 
 
 class PolarDecomposition(NamedTuple):

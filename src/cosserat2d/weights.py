@@ -22,34 +22,54 @@ class Regime(enum.Enum):
     NON_CLASSICAL = "non_classical"
 
 
-@dataclass(frozen=True)
-class Weights:
-    """Shear modulus mu > 0 and couple modulus muc >= 0."""
+class _DerivedWeights:
+    # Slots outside the dataclass fields, fixed by Weights.__init__: the
+    # regime and, for a non-classical pair, the scaling parameter (else None).
+    __slots__ = ("_regime", "_scaling")
+
+
+@dataclass(frozen=True, slots=True, init=False)
+class Weights(_DerivedWeights):
+    """Shear modulus mu > 0 and couple modulus muc >= 0.
+
+    Immutable; the regime and the scaling parameter are fixed at
+    construction.
+    """
 
     mu: float
     muc: float = 0.0
 
-    def __post_init__(self):
-        mu, muc = float(self.mu), float(self.muc)
-        if not (math.isfinite(mu) and mu > 0.0):
-            raise ValueError(f"mu must be finite and positive, got {self.mu!r}")
-        if not (math.isfinite(muc) and muc >= 0.0):
-            raise ValueError(f"muc must be finite and nonnegative, got {self.muc!r}")
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "muc", muc)
+    def __init__(self, mu: float, muc: float = 0.0):
+        mu_f, muc_f = float(mu), float(muc)
+        if not (math.isfinite(mu_f) and mu_f > 0.0):
+            raise ValueError(f"mu must be finite and positive, got {mu!r}")
+        if not (math.isfinite(muc_f) and muc_f >= 0.0):
+            raise ValueError(f"muc must be finite and nonnegative, got {muc!r}")
+        _set_mu(self, mu_f)
+        _set_muc(self, muc_f)
+        if muc_f >= mu_f:
+            _set_regime(self, Regime.CLASSICAL)
+            _set_scaling(self, None)
+        else:
+            _set_regime(self, Regime.NON_CLASSICAL)
+            _set_scaling(self, mu_f / (mu_f - muc_f))
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, which fixes the derived slots
+        return type(self), (self.mu, self.muc)
 
     @property
     def regime(self) -> Regime:
         """Classical iff muc >= mu, non-classical iff mu > muc."""
-        return Regime.CLASSICAL if self.muc >= self.mu else Regime.NON_CLASSICAL
+        return self._regime
 
     def scaling(self) -> float:
         """Scaling parameter mu / (mu - muc) >= 1; requires mu > muc."""
-        if self.regime is Regime.CLASSICAL:
+        if self._scaling is None:
             raise RequiresNonClassical(
                 f"scaling parameter needs mu > muc, got mu={self.mu}, muc={self.muc}"
             )
-        return self.mu / (self.mu - self.muc)
+        return self._scaling
 
     def singular_radius(self) -> float:
         """Bifurcation threshold 2*mu / (mu - muc) on the stretch trace.
@@ -58,6 +78,12 @@ class Weights:
         predicate is bit-identical everywhere it is evaluated.
         """
         return 2.0 * self.scaling()
+
+
+# The slot descriptors' setters store past the frozen __setattr__.
+_set_mu, _set_muc = (Weights.__dict__[name].__set__ for name in ("mu", "muc"))
+_set_regime = _DerivedWeights._regime.__set__
+_set_scaling = _DerivedWeights._scaling.__set__
 
 
 @dataclass(frozen=True)

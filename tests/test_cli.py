@@ -544,6 +544,40 @@ class TestBounds:
         assert args.grid_n == cli.MAX_GRID_N == 10**6
 
 
+class TestNegativeNumbers:
+    """A negative number in exponent notation, or -inf, is a value, not an option."""
+
+    @pytest.mark.parametrize("command", ["minimize", "critical", "energy-levels"])
+    def test_exponent_notation_matches_decimal(self, capsys, command):
+        exponent = run_cli(capsys, command, "--f", "1", "-1e-3", "0", "1")
+        decimal = run_cli(capsys, command, "--f", "1", "-0.001", "0", "1")
+        assert exponent[0] == 0 and exponent == decimal
+
+    def test_weights_in_exponent_notation(self, capsys):
+        code, _, err = run_cli(capsys, "minimize", "--f", "1", "0", "0", "1", "--muc", "-1E-3")
+        assert code == 2 and err == "error: muc must be finite and nonnegative, got -0.001\n"
+
+    def test_sweep_start_in_exponent_notation(self, capsys):
+        argv = ["sweep-shear", "--gamma-end", "0.1", "--gamma-step", "0.1"]
+        exponent = run_cli(capsys, *argv, "--gamma-start", "-1e-1")
+        decimal = run_cli(capsys, *argv, "--gamma-start", "-0.1")
+        assert exponent[0] == 0 and exponent == decimal
+        assert len(exponent[1].splitlines()) == 4
+
+    @pytest.mark.parametrize("value", ["-inf", "-Infinity", "-nan", "-1e400"])
+    def test_non_finite_reaches_the_finiteness_check(self, capsys, value):
+        code, out, err = run_cli(capsys, "minimize", "--f", "1", value, "0", "1")
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: matrix entry e12 must be finite")
+
+    @pytest.mark.parametrize("token", ["-x", "-1e", "--1e-3", "-e5"])
+    def test_other_dash_tokens_are_still_options(self, capsys, token):
+        with pytest.raises(SystemExit) as info:
+            main(["minimize", "--f", "1", token, "0", "1"])
+        assert info.value.code == 2
+
+
 class TestVerify:
     def test_default_suite_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--samples", "60", "--grid-n", "720")

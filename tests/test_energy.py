@@ -1,6 +1,7 @@
 """Tests for the energy functionals and their algebraic identities."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -447,6 +448,20 @@ class TestLogStrainEnergy:
     def test_profile_sentinel_on_undefined_arc(self):
         profile = log_strain_profile(Mat2.identity(), Weights(1.0, 1.0))
         assert profile(math.pi) == UNDEFINED_LOG_ENERGY == 1e9
+
+    def test_spectrum_beyond_double_range_is_silent(self):
+        # tr^2 and det of 1e160 * I overflow inside the log; the answer stays
+        # the sentinel or LogUndefined, and numpy warns about nothing
+        f = Mat2(1e160, 0.0, 0.0, 1e160)
+        profile = log_strain_profile(f, Weights(1.0, 0.5))
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert profile(0.0) == UNDEFINED_LOG_ENERGY
+            assert np.all(profile(np.linspace(-3.0, 3.0, 7)) == UNDEFINED_LOG_ENERGY)
+            with pytest.raises(LogUndefined):
+                matrix_log_2x2(f)
+        assert np.geterr() == before
 
 
 class TestShearStretchProfile:

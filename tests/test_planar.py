@@ -1,5 +1,6 @@
 """Tests for the 2x2 matrix primitives and angle handling."""
 
+import copy
 import dataclasses
 import math
 import pickle
@@ -13,19 +14,30 @@ from cosserat2d import (
     NonPositiveDeterminant,
     NotARotation,
     QUARTER_TURN,
+    TraceInvariants,
+    Weights,
     circular_distance,
     cofactor_transform,
+    critical_energy_levels,
+    critical_set,
     normalize_angle,
+    optimal_set,
     polar_angle,
     polar_decompose,
+    reduced_energy,
     relative_angle,
     require_rotation,
     rotation,
     singular_values,
     trace_invariants,
 )
-from cosserat2d.planar import ROTATION_TOL, rotation_defect
-from cosserat2d.selfcheck import random_gl_plus, random_unconstrained
+from cosserat2d.planar import ROTATION_TOL, _invariants, rotation_defect
+from cosserat2d.selfcheck import (
+    random_classical_weights,
+    random_gl_plus,
+    random_nonclassical_weights,
+    random_unconstrained,
+)
 from cosserat2d.shear import simple_shear
 
 RNG = np.random.default_rng(20260810)
@@ -324,3 +336,94 @@ class TestRelativeAngle:
             beta = relative_angle(a, f)
             product = rotation(a).transpose() @ polar_decompose(f).rotation
             assert (rotation(beta) - product).frobenius_norm() < 1e-12
+
+
+def _stored(f):
+    # the checked invariants f holds; None when it holds none
+    return getattr(f, "_checked_invariants", None)
+
+
+class TestStoredInvariants:
+    """A Mat2 keeps its checked trace invariants; no result depends on it."""
+
+    CALLS = {
+        "trace_invariants": lambda f, w: trace_invariants(f),
+        "polar_angle": lambda f, w: polar_angle(f),
+        "singular_values": lambda f, w: singular_values(f),
+        "critical_energy_levels": lambda f, w: critical_energy_levels(f),
+        "critical_set": lambda f, w: critical_set(f),
+        "optimal_set": lambda f, w: optimal_set(f, w),
+        "reduced_energy": lambda f, w: reduced_energy(f, w),
+    }
+
+    @staticmethod
+    def _cases(n):
+        # (entries, weights): half at scale 1, half at scales 1e-100 .. 1e100,
+        # classical and non-classical weights alternating
+        rng = np.random.default_rng(20261018)
+        for i in range(n):
+            scale = 1.0 if i % 2 else 10.0 ** rng.uniform(-100.0, 100.0)
+            f = random_gl_plus(rng) * scale
+            draw = random_classical_weights if i % 4 < 2 else random_nonclassical_weights
+            yield f.entries(), draw(rng)
+
+    def test_reused_matches_fresh_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        names = list(self.CALLS)
+        for entries, w in self._cases(600):
+            reused = Mat2(*entries)
+            for k in rng.permutation(len(names)):
+                call = self.CALLS[names[k]]
+                # repr tells every float apart by its bits, -0.0 from 0.0 too
+                assert repr(call(reused, w)) == repr(call(Mat2(*entries), w)), names[k]
+            assert trace_invariants(reused) == TraceInvariants._make(_invariants(*entries))
+
+    def test_first_call_stores_and_later_calls_return_it(self):
+        f = Mat2(3.0, 0.5, -0.2, 1.0)
+        assert _stored(f) is None
+        inv = trace_invariants(f)
+        assert _stored(f) is inv and trace_invariants(f) is inv
+        g = Mat2(3.0, 0.5, -0.2, 1.0)
+        critical_set(g)
+        assert _stored(g) == inv
+
+    @pytest.mark.parametrize("entries, error", [
+        ((1.0, 0.0, 0.0, -1.0), NonPositiveDeterminant),
+        ((1.0, 2.0, 2.0, 4.0), NonPositiveDeterminant),  # det = 0
+        ((1e200, 0.0, 0.0, 1e200), OverflowError),  # ||F||^2 beyond the double range
+    ])
+    def test_invalid_f_raises_on_every_call_and_stores_nothing(self, entries, error):
+        f = Mat2(*entries)
+        w = Weights(1.0, 0.5)
+        for _ in range(2):
+            for name, call in self.CALLS.items():
+                with pytest.raises(error):
+                    call(f, w)
+                assert _stored(f) is None, name
+
+    def test_slot_is_not_part_of_the_value(self):
+        stored = Mat2(1.0, 2.0, 0.0, 1.0)
+        trace_invariants(stored)
+        fresh = Mat2(1.0, 2.0, 0.0, 1.0)
+        assert _stored(stored) is not None and _stored(fresh) is None
+        assert [fld.name for fld in dataclasses.fields(stored)] == ["e11", "e12", "e21", "e22"]
+        assert dataclasses.astuple(stored) == stored.entries()
+        assert repr(stored) == repr(fresh) == "Mat2(e11=1.0, e12=2.0, e21=0.0, e22=1.0)"
+        assert stored == fresh and hash(stored) == hash(fresh) == hash(stored.entries())
+        assert not hasattr(stored, "__dict__")
+        with pytest.raises((AttributeError, TypeError)):
+            stored._checked_invariants = None
+
+    @pytest.mark.parametrize("clone", [
+        lambda f: pickle.loads(pickle.dumps(f)),
+        copy.copy,
+        copy.deepcopy,
+        dataclasses.replace,
+    ], ids=["pickle", "copy", "deepcopy", "replace"])
+    def test_clones_compute_again_on_first_use(self, clone):
+        f = Mat2(0.3, -1.2, 0.9, 1.7)
+        inv = trace_invariants(f)
+        g = clone(f)
+        assert g == f and _stored(g) is None
+        assert repr(trace_invariants(g)) == repr(inv)
+        assert _stored(g) is not None and _stored(g) is not inv

@@ -1,5 +1,10 @@
 """Tests for weight classification and the parameter rescaling."""
 
+import copy
+import dataclasses
+import math
+import pickle
+
 import numpy as np
 import pytest
 
@@ -58,6 +63,91 @@ class TestClassify:
         with pytest.raises(ValueError):
             Weights(1.0, -0.5)
 
+
+
+class TestWeightsValue:
+    """Weights is an immutable value whose regime and scaling are fixed at construction."""
+
+    def test_value_semantics(self):
+        w = Weights(2, np.float64(0.5))
+        assert repr(w) == "Weights(mu=2.0, muc=0.5)"
+        assert type(w.mu) is float and type(w.muc) is float
+        assert w == Weights(2.0, 0.5) and w != Weights(2.0, 0.25)
+        assert hash(w) == hash((2.0, 0.5)) == hash(dataclasses.astuple(w))
+        assert [f.name for f in dataclasses.fields(w)] == ["mu", "muc"]
+        assert not hasattr(w, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            w.mu = 3.0
+        # no new attributes either; CPython 3.11's frozen-slots __setattr__ raises TypeError
+        with pytest.raises((AttributeError, TypeError)):
+            w.extra = 1.0
+
+    def test_muc_defaults_to_zero(self):
+        assert Weights(1.5) == Weights(1.5, 0.0) == Weights(mu=1.5)
+        assert Weights(1.5).regime is Regime.NON_CLASSICAL
+        assert dataclasses.fields(Weights)[1].default == 0.0
+
+    @pytest.mark.parametrize("clone", [
+        lambda w: pickle.loads(pickle.dumps(w)),
+        copy.copy,
+        copy.deepcopy,
+        dataclasses.replace,
+    ], ids=["pickle", "copy", "deepcopy", "replace"])
+    @pytest.mark.parametrize("w", [Weights(2.0, 0.5), Weights(1.0, 1.0), Weights(0.3)])
+    def test_clones_keep_regime_and_scaling(self, clone, w):
+        c = clone(w)
+        assert c == w and c.regime is w.regime
+        if w.regime is Regime.CLASSICAL:
+            with pytest.raises(RequiresNonClassical):
+                c.scaling()
+        else:
+            assert c.scaling() == w.scaling()
+
+    def test_replace_fixes_the_new_regime(self):
+        w = dataclasses.replace(Weights(2.0, 0.5), muc=3.0)
+        assert w == Weights(2.0, 3.0) and w.regime is Regime.CLASSICAL
+        with pytest.raises(RequiresNonClassical):
+            w.singular_radius()
+        with pytest.raises(ValueError, match="muc must be finite and nonnegative, got -1.0"):
+            dataclasses.replace(w, muc=-1.0)
+
+    @pytest.mark.parametrize("args, message", [
+        ((math.nan,), "mu must be finite and positive, got nan"),
+        ((math.inf,), "mu must be finite and positive, got inf"),
+        ((-1.0,), "mu must be finite and positive, got -1.0"),
+        ((0,), "mu must be finite and positive, got 0"),
+        (("nan",), "mu must be finite and positive, got 'nan'"),
+        ((1.0, math.nan), "muc must be finite and nonnegative, got nan"),
+        ((1.0, math.inf), "muc must be finite and nonnegative, got inf"),
+        ((1.0, -0.5), "muc must be finite and nonnegative, got -0.5"),
+        ((1.0, "-inf"), "muc must be finite and nonnegative, got '-inf'"),
+        (("abc",), "could not convert string to float: 'abc'"),
+        # both entries are converted before either is checked
+        ((-1.0, "x"), "could not convert string to float: 'x'"),
+    ])
+    def test_error_texts(self, args, message):
+        with pytest.raises(ValueError) as info:
+            Weights(*args)
+        assert str(info.value) == message
+
+    def test_derived_values_match_the_formulas_bit_for_bit(self):
+        rng = np.random.default_rng(20261018)
+        mus = 10.0 ** rng.uniform(-6.0, 6.0, 10_000)
+        kinds = rng.integers(0, 5, 10_000)
+        for mu, kind in zip(mus.tolist(), kinds.tolist()):
+            muc = (0.0, mu, math.nextafter(mu, 0.0), mu * rng.uniform(0.0, 1.0),
+                   mu * rng.uniform(1.0, 3.0))[kind]
+            w = Weights(mu, muc)
+            classical = muc >= mu
+            assert w.regime is (Regime.CLASSICAL if classical else Regime.NON_CLASSICAL)
+            if classical:
+                with pytest.raises(RequiresNonClassical, match="scaling parameter needs mu > muc"):
+                    w.scaling()
+                with pytest.raises(RequiresNonClassical):
+                    w.singular_radius()
+            else:
+                assert w.scaling().hex() == (mu / (mu - muc)).hex()
+                assert w.singular_radius().hex() == (2.0 * (mu / (mu - muc))).hex()
 
 class TestReductionData:
     def test_zero_couple_modulus_is_identity_rescaling(self):
