@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -48,8 +47,7 @@ _SQRT_EPS = math.sqrt(2.0**-52)
 _GOLDEN_STEP = (3.0 - math.sqrt(5.0)) / 2.0
 
 
-@dataclass(frozen=True)
-class GridResult:
+class GridResult(NamedTuple):
     """Outcome of a grid minimization.
 
     minima lists (angle, value) pairs for every global minimizer found up

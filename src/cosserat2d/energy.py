@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -30,7 +29,7 @@ from .planar import (
     require_rotation,
     trace_invariants,
 )
-from .weights import Regime, Weights
+from .weights import _REGIME_CLASSICAL, Weights
 
 
 class Branch(enum.Enum):
@@ -38,6 +37,11 @@ class Branch(enum.Enum):
 
     CLASSICAL = "classical"
     PITCHFORK = "pitchfork"
+
+
+# bound once, for the per-call paths, as weights binds Regime's members
+_BRANCH_CLASSICAL = Branch.CLASSICAL
+_BRANCH_PITCHFORK = Branch.PITCHFORK
 
 
 def _sym_skew_energy(x11, x12, x21, x22, mu: float, muc: float, shift: float = 1.0):
@@ -151,8 +155,7 @@ def constants_chain(f: Mat2, w: Weights) -> ConstantsChain:
     return ConstantsChain(c1, c2, c3, c4)
 
 
-@dataclass(frozen=True)
-class EnergyLevels:
+class EnergyLevels(NamedTuple):
     """Critical values of the zero-couple-modulus energy, largest first.
 
     w1 and w2 belong to the two rotations with symmetric microstrain; w3
@@ -198,9 +201,9 @@ def reduced_energy(f: Mat2, w: Weights) -> ReducedEnergy:
     pitchfork tag applies from the threshold on (right-continuous).
     """
     inv = trace_invariants(f)
-    if w.regime is Regime.CLASSICAL:
+    if w.regime is _REGIME_CLASSICAL:
         return ReducedEnergy(
-            w.mu * (inv.frob_f**2 - 2.0 * inv.tr_u + 2.0), Branch.CLASSICAL
+            w.mu * (inv.frob_f**2 - 2.0 * inv.tr_u + 2.0), _BRANCH_CLASSICAL
         )
     branch, angles, _ = minimizers._optimal_angles(inv, w)
     value = _energy_at(angles[0], f.e11, f.e12, f.e21, f.e22, w.mu, w.muc)
@@ -283,7 +286,8 @@ def _log_cases(x11, x12, x21, x22, d: float):
         lam1 = 0.5 * (t[m] + sq)
         lam2 = d / lam1
         yield case(m, np.log(lam2), np.log1p(sq / lam2) / sq, lam2)
-    m = (np.abs(disc) <= tol) & (t > 0.0)
+    # a discriminant of +-inf makes tol inf too, so it must be finite here
+    m = (np.abs(disc) <= tol) & np.isfinite(disc) & (t > 0.0)
     if m.any():  # coincident positive eigenvalues
         lam = 0.5 * t[m]
         yield case(m, np.log(lam), 1.0 / lam, lam)
@@ -304,11 +308,15 @@ def log_strain_energy(r: Mat2, f: Mat2, w: Weights) -> float:
 # the trace shortcuts used by the closed-form minimizers, so grid
 # certification stays an independent route. An array of angles runs through
 # numpy; a single Python float (Brent refinement, the parabolic polish and
-# bisection) runs the same forms on floats, with math's cos and sin. The two
-# routes give the same bits wherever numpy's float64 cos and sin return
-# math's (libm's), since numpy's scalar ** calls C pow as Python's does. A
-# square that overflows raises OverflowError on the float route where numpy
-# returns inf; the oracle reports both as NonFiniteEnergy.
+# bisection) runs the same forms on floats, with math's cos and sin. A float
+# gets the bits of the same angle as a 0-d numpy array wherever numpy's
+# float64 cos and sin return math's (libm's), since both square with ** through
+# C pow. An array squares by multiplication instead, and pow(x, 2) rounds
+# differently from x * x on a few inputs, so the float and array routes of
+# the two energy profiles differ in the last bits of under 0.1% of values
+# (at most 3 ulps over 600,000 seeded ones), far below the oracle's value
+# tolerance. A square that overflows raises OverflowError on the float route
+# where numpy returns inf; the oracle reports both as NonFiniteEnergy.
 # ---------------------------------------------------------------------------
 
 #: A profile maps a float angle to a float energy, and an array of angles

@@ -11,9 +11,11 @@ in tr U.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .energy import (
+    _BRANCH_CLASSICAL,
+    _BRANCH_PITCHFORK,
     Branch,
     EnergyLevels,
     Profile,
@@ -32,11 +34,10 @@ from .planar import (
     rotation,
     trace_invariants,
 )
-from .weights import Regime, Weights
+from .weights import _REGIME_NON_CLASSICAL, Weights
 
 
-@dataclass(frozen=True)
-class MinimizerSet:
+class MinimizerSet(NamedTuple):
     """Global minimizers of the shear-stretch energy for one (F, weights).
 
     angles holds one angle on the classical branch and the ordered pair
@@ -59,8 +60,7 @@ class MinimizerSet:
         return self.angles[-1]
 
 
-@dataclass(frozen=True)
-class CriticalSet:
+class CriticalSet(NamedTuple):
     """All critical rotations of the zero-couple-modulus energy.
 
     The pair with symmetric microstrain (the polar angle and its opposite)
@@ -120,11 +120,11 @@ def _optimal_angles(inv: TraceInvariants, w: Weights):
     # unvalidated: the pitchfork pair from tr U = singular radius on, for
     # non-classical weights, and the polar angle otherwise.
     alpha_p = _polar_angle(inv.tr_f, inv.tr_jf)
-    if w.regime is Regime.NON_CLASSICAL:
+    if w.regime is _REGIME_NON_CLASSICAL:
         beta, pair = _pitchfork(inv.tr_u, w.singular_radius(), alpha_p)
         if pair:
-            return Branch.PITCHFORK, pair, beta
-    return Branch.CLASSICAL, (alpha_p,), 0.0
+            return _BRANCH_PITCHFORK, pair, beta
+    return _BRANCH_CLASSICAL, (alpha_p,), 0.0
 
 
 _DEFAULT_WEIGHTS = Weights(1.0, 0.0)

@@ -9,7 +9,7 @@ rotation by twice the polar angle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .energy import _critical_levels, _energy_at
 from .errors import InadmissibleKappa
@@ -36,8 +36,7 @@ def simple_shear(gamma: float) -> Mat2:
     return Mat2(1.0, float(gamma), 0.0, 1.0)
 
 
-@dataclass(frozen=True)
-class ShearSolution:
+class ShearSolution(NamedTuple):
     """Optimal zero-couple-modulus response to a simple shear.
 
     angles contains the identity rotation (angle 0) and the rotation by

@@ -14,6 +14,7 @@ import pytest
 from cosserat2d import Mat2, Weights, rotation, shear_stretch_energy
 from cosserat2d import bruteforce, cli, selfcheck
 from cosserat2d.cli import _Table, main
+from record_checks import check_record
 
 
 def run_cli(capsys, *argv):
@@ -631,6 +632,17 @@ class TestVerify:
             main(["verify", "--samples", samples])
         assert exc.value.code == 2
         assert "samples must be at least 1" in capsys.readouterr().err
+
+    def test_check_result_record(self):
+        check_record(
+            selfcheck.CheckResult("x", True, 0.0, 1e-10),
+            "CheckResult(name='x', passed=True, residual=0.0, tolerance=1e-10)",
+            name="x", passed=True, residual=0.0, tolerance=1e-10,
+        )
+        assert selfcheck.CheckResult._field_defaults == {}
+        result = selfcheck.run_suite(samples=1, grid_n=720)[0]
+        assert type(result) is selfcheck.CheckResult
+        check_record(result, repr(result), **result._asdict())
 
     @pytest.mark.parametrize("samples", [0, -3])
     def test_run_suite_rejects_samples_below_one(self, samples):

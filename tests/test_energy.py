@@ -33,7 +33,7 @@ from cosserat2d import (
     singular_values,
     trace_invariants,
 )
-from cosserat2d.energy import UNDEFINED_LOG_ENERGY, _sym_skew_energy
+from cosserat2d.energy import UNDEFINED_LOG_ENERGY, EnergyLevels, _sym_skew_energy
 from cosserat2d.planar import ROTATION_TOL
 from cosserat2d.selfcheck import (
     random_gl_plus,
@@ -42,6 +42,7 @@ from cosserat2d.selfcheck import (
 )
 from cosserat2d.shear import simple_shear
 from cosserat2d.weights import reduction_data
+from record_checks import check_record
 
 RNG = np.random.default_rng(20260811)
 LIMIT = Weights(1.0, 0.0)
@@ -235,6 +236,17 @@ class TestConstantsChain:
 
 
 class TestCriticalEnergyLevels:
+    def test_record(self):
+        check_record(
+            critical_energy_levels(Mat2.diagonal(0.5, 0.5)),
+            "EnergyLevels(w1=4.5, w2=0.5, w3=None)", w1=4.5, w2=0.5, w3=None,
+        )
+        check_record(
+            critical_energy_levels(Mat2.identity()),
+            "EnergyLevels(w1=8.0, w2=0.0, w3=0.0)", w1=8.0, w2=0.0, w3=0.0,
+        )
+        assert EnergyLevels._field_defaults == {}
+
     def test_ordering(self):
         for _ in range(500):
             lv = critical_energy_levels(random_gl_plus(RNG))
@@ -462,6 +474,23 @@ class TestLogStrainEnergy:
             with pytest.raises(LogUndefined):
                 matrix_log_2x2(f)
         assert np.geterr() == before
+
+    @pytest.mark.parametrize("f, alpha", [
+        (Mat2(1e160, 0.0, 0.0, 1e-160), 0.0),  # t * t overflows, det X is 1
+        (Mat2.diagonal(1e154, 1e154), -1.4),  # det X is 1e308, 4 * det X overflows
+    ])
+    def test_discriminant_beyond_double_range_is_undefined(self, f, alpha):
+        # an infinite discriminant once took the coincident-eigenvalue case and
+        # returned a wrong log silently: diag(368.72, 366.72) for the first X,
+        # whose log is diag(368.41, -368.41)
+        x = rotation(alpha).transpose() @ f
+        profile = log_strain_profile(f, Weights(1.0, 0.5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(LogUndefined, match="leaves the floating-point range"):
+                matrix_log_2x2(x)
+            assert profile(alpha) == UNDEFINED_LOG_ENERGY
+            assert profile(np.array([alpha])).tolist() == [UNDEFINED_LOG_ENERGY]
 
 
 class TestShearStretchProfile:

@@ -24,11 +24,14 @@ from cosserat2d import (
     stationarity_residual,
     trace_invariants,
 )
+from cosserat2d.energy import EnergyLevels
+from cosserat2d.minimizers import CriticalSet, MinimizerSet
 from cosserat2d.selfcheck import (
     random_classical_weights,
     random_gl_plus,
     random_nonclassical_case,
 )
+from record_checks import check_record
 
 RNG = np.random.default_rng(20260813)
 LIMIT = Weights(1.0, 0.0)
@@ -62,6 +65,44 @@ class TestCriticalSet:
             cs = critical_set(f)
             for a in list(cs.classical_pair) + list(cs.nonclassical or ()):
                 assert abs(stationarity_residual(a, f)) < 1e-8
+
+
+class TestRecords:
+    """MinimizerSet and CriticalSet are named tuples with the fields and repr they had."""
+
+    def test_minimizer_set(self):
+        ms = optimal_set(Mat2.diagonal(3.0, 1.0), LIMIT)
+        assert ms.branch is Branch.PITCHFORK
+        third = 1.0471975511965979
+        check_record(
+            ms,
+            "MinimizerSet(branch=<Branch.PITCHFORK: 'pitchfork'>, angles=(1.0471975511965979, "
+            "-1.0471975511965979), energy=1.9999999999999996, beta=1.0471975511965979)",
+            branch=Branch.PITCHFORK, angles=(third, -third), energy=1.9999999999999996, beta=third,
+        )
+        assert (ms.alpha_plus, ms.alpha_minus) == (third, -third)
+        assert MinimizerSet._field_defaults == {}
+
+    def test_classical_minimizer_set(self):
+        ms = optimal_set(Mat2.identity(), Weights(1.0, 2.0))
+        assert ms.branch is Branch.CLASSICAL
+        check_record(
+            ms, "MinimizerSet(branch=<Branch.CLASSICAL: 'classical'>, angles=(-0.0,), "
+            "energy=0.0, beta=0.0)",
+            branch=Branch.CLASSICAL, angles=(-0.0,), energy=0.0, beta=0.0,
+        )
+        assert ms.alpha_plus is ms.alpha_minus is ms.angles[0]
+
+    def test_critical_set(self):
+        cs = critical_set(Mat2.identity())
+        check_record(
+            cs, "CriticalSet(classical_pair=(-0.0, 3.141592653589793), nonclassical=(0.0, -0.0), "
+            "levels=EnergyLevels(w1=8.0, w2=0.0, w3=0.0))",
+            classical_pair=(-0.0, math.pi), nonclassical=(0.0, -0.0),
+            levels=EnergyLevels(8.0, 0.0, 0.0),
+        )
+        assert type(cs.levels) is EnergyLevels
+        assert CriticalSet._field_defaults == {}
 
 
 class TestOptimalSet:

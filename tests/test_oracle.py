@@ -28,6 +28,7 @@ from cosserat2d import (
 from cosserat2d.bruteforce import (
     CLUSTER_VALUE_TOL,
     MIN_GRID_N,
+    GridResult,
     _bisect,
     _clusters,
     _near_cells,
@@ -36,9 +37,34 @@ from cosserat2d.bruteforce import (
 )
 from cosserat2d.energy import UNDEFINED_LOG_ENERGY
 from cosserat2d.selfcheck import PROPERTIES, random_gl_plus, random_nonclassical_case
+from record_checks import check_record
 
 RNG = np.random.default_rng(20260814)
 LIMIT = Weights(1.0, 0.0)
+
+
+class TestGridResult:
+    """GridResult is a named tuple with the fields, defaults and properties it had."""
+
+    def test_record_and_defaults(self):
+        grid = GridResult(((0.5, 0.25), (-1.0, 0.125)), 720, 1e-7, 0.125, False)
+        check_record(
+            grid,
+            "GridResult(minima=((0.5, 0.25), (-1.0, 0.125)), grid_n=720, value_tol=1e-07, "
+            "angle_tol=0.125, plateau=False, refine_evaluations=0, clusters=0)",
+            minima=((0.5, 0.25), (-1.0, 0.125)), grid_n=720, value_tol=1e-7, angle_tol=0.125,
+            plateau=False, refine_evaluations=0, clusters=0,
+        )
+        assert GridResult._field_defaults == {"refine_evaluations": 0, "clusters": 0}
+        assert grid.angles == (0.5, -1.0)
+        assert grid.best_value == 0.125
+
+    def test_grid_minimize_result(self):
+        grid = grid_minimize(lambda a: (a - 0.5) ** 2, 720)
+        assert type(grid) is GridResult
+        check_record(grid, repr(grid), **grid._asdict())
+        assert grid.angles == (grid.minima[0][0],) and grid.best_value == grid.minima[0][1]
+        assert grid.clusters == 1 and grid.refine_evaluations > 0
 
 
 class TestGridMinimize:
@@ -445,7 +471,12 @@ def _oracle_cases(rng, count):
 
 
 class TestFloatRoute:
-    """A single Python float runs the profiles on floats, with numpy's bits."""
+    """A single Python float runs the profiles on floats, with the bits of a 0-d array.
+
+    Both square with ** through C pow; an array of angles squares by
+    multiplication, which rounds differently on a few inputs, so the float
+    route is held to a few ulps of the array route, not to its bits.
+    """
 
     @pytest.mark.parametrize("name", sorted(SINGLE_ANGLE_PROFILES))
     @pytest.mark.parametrize("exponent", [0, -100, 100])
@@ -461,6 +492,22 @@ class TestFloatRoute:
                 value = profile(a)
                 assert type(value) is float
                 assert value.hex() == float(profile(np.asarray(a))).hex()
+
+    @pytest.mark.parametrize("name", ["shear_stretch", "cofactor_shear"])
+    def test_float_route_within_ulps_of_array_route(self, name):
+        # At this seed 62 of the 100,000 values differ, by at most 2 ulps
+        # (CPython 3.11, numpy 2.4, glibc on x86-64); seed 1 reaches 3 ulps.
+        rng = np.random.default_rng(20261019)
+        make = SINGLE_ANGLE_PROFILES[name]
+        worst = 0
+        for f, w in _oracle_cases(rng, 2000):
+            angles = rng.uniform(-math.pi, math.pi, 50)
+            profile = make(f, w)
+            floats = np.array([profile(a) for a in angles.tolist()])
+            # the energies are finite and nonnegative, so the integer views count ulps
+            ulps = np.abs(floats.view(np.int64) - profile(angles).view(np.int64))
+            worst = max(worst, int(ulps.max()))
+        assert worst <= 4
 
     @pytest.mark.parametrize("name", ["shear_stretch", "cofactor_shear"])
     def test_grid_minimize_matches_numpy_route(self, name):

@@ -29,6 +29,8 @@ from cosserat2d.selfcheck import (
     random_nonclassical_case,
     random_rotation,
 )
+from cosserat2d.weights import ReductionData
+from record_checks import check_record
 
 RNG = np.random.default_rng(20260812)
 LIMIT = Weights(1.0, 0.0)
@@ -81,6 +83,11 @@ class TestWeightsValue:
         # no new attributes either; CPython 3.11's frozen-slots __setattr__ raises TypeError
         with pytest.raises((AttributeError, TypeError)):
             w.extra = 1.0
+
+    def test_regime_members_are_the_public_ones(self):
+        # the per-call paths compare against members bound at import
+        assert Weights(1, 0.5).regime is Regime.NON_CLASSICAL
+        assert Weights(1, 1).regime is Regime.CLASSICAL
 
     def test_muc_defaults_to_zero(self):
         assert Weights(1.5) == Weights(1.5, 0.0) == Weights(mu=1.5)
@@ -150,6 +157,15 @@ class TestWeightsValue:
                 assert w.singular_radius().hex() == (2.0 * (mu / (mu - muc))).hex()
 
 class TestReductionData:
+    def test_record(self):
+        data = reduction_data(Mat2.identity(), Weights(2.0, 1.0))
+        check_record(
+            data,
+            "ReductionData(rho=4.0, lam=2.0, ftilde=Mat2(e11=0.5, e12=0.0, e21=0.0, e22=0.5))",
+            rho=4.0, lam=2.0, ftilde=Mat2.diagonal(0.5, 0.5),
+        )
+        assert ReductionData._field_defaults == {}
+
     def test_zero_couple_modulus_is_identity_rescaling(self):
         f = random_gl_plus(RNG)
         data = reduction_data(f, LIMIT)

@@ -24,6 +24,8 @@ from cosserat2d import (
     trace_invariants,
 )
 from cosserat2d.selfcheck import PROPERTIES
+from cosserat2d.shear import ShearSolution
+from record_checks import check_record
 
 RNG = np.random.default_rng(20260815)
 LIMIT = Weights(1.0, 0.0)
@@ -48,6 +50,14 @@ class TestSimpleShear:
 
 
 class TestShearSolution:
+    def test_record(self):
+        check_record(
+            shear_solution(0.0),
+            "ShearSolution(gamma=0.0, alpha_p=-0.0, angles=(0.0, -0.0), energy=0.0, tr_u=2.0)",
+            gamma=0.0, alpha_p=-0.0, angles=(0.0, -0.0), energy=0.0, tr_u=2.0,
+        )
+        assert ShearSolution._field_defaults == {}
+
     def test_gamma_two(self):
         sol = shear_solution(2.0)
         assert sol.alpha_p == pytest.approx(-math.pi / 4.0, abs=1e-14)
