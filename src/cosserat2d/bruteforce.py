@@ -9,7 +9,8 @@ Brent's method (golden-section steps with safeguarded parabolic steps)
 from its best sample. sign_change_scan brackets and bisects the roots of a
 continuous periodic function. Both are deliberately derivative-free so
 they remain robust at the non-smooth bifurcation threshold, and both treat
-the supplied callable as a black box.
+the supplied callable as a black box. A GridResult keeps only what the
+oracle measured: the minima, the grid size and step, and the work counters.
 """
 
 from __future__ import annotations
@@ -26,10 +27,6 @@ from .planar import circular_distance, normalize_angle
 #: Grid cells within this absolute distance of the best cell value are
 #: considered near-minimal and grouped into clusters.
 CLUSTER_VALUE_TOL = 1e-7
-
-#: Fraction of near-minimal cells beyond which the landscape is flagged
-#: as a plateau.
-PLATEAU_FRACTION = 0.1
 
 #: Refined minima within this many grid steps of a lower one merge into it.
 MERGE_STEPS = 2.0
@@ -48,12 +45,11 @@ _GOLDEN_STEP = (3.0 - math.sqrt(5.0)) / 2.0
 
 
 class GridResult(NamedTuple):
-    """Outcome of a grid minimization.
+    """Outcome of a grid minimization: what the oracle measured.
 
     minima lists (angle, value) pairs for every global minimizer found up
-    to value_tol, pairwise separated by more than MERGE_STEPS * angle_tol.
-    plateau is set when more than 10% of the grid is near-minimal, which signals
-    a (nearly) constant landscape rather than isolated minima. Work
+    to CLUSTER_VALUE_TOL, pairwise separated by more than
+    MERGE_STEPS * angle_tol, where angle_tol is the grid step. Work
     counters: the grid costs grid_n evaluations, clusters is the number of
     near-minimal runs refined, and refine_evaluations counts the
     single-angle energy calls of refinement and polish.
@@ -61,9 +57,7 @@ class GridResult(NamedTuple):
 
     minima: tuple[tuple[float, float], ...]
     grid_n: int
-    value_tol: float
     angle_tol: float
-    plateau: bool
     refine_evaluations: int = 0
     clusters: int = 0
 
@@ -278,9 +272,6 @@ def grid_minimize(
     h, values = _sample(energy, grid_n, vectorized, 1.0)
     grid_n = values.size  # a plain int, also for an np.int64 argument
 
-    best = float(values.min())
-    plateau = np.count_nonzero(values <= best + CLUSTER_VALUE_TOL) / grid_n > PLATEAU_FRACTION
-
     refine_evaluations = 0
 
     def refine_energy(alpha: float):
@@ -289,7 +280,7 @@ def grid_minimize(
         return energy(alpha)
 
     candidates: list[tuple[float, float]] = []  # one per cluster
-    for first, last in _clusters(_near_cells(values, best), grid_n):
+    for first, last in _clusters(_near_cells(values, float(values.min())), grid_n):
         lo = -math.pi + h * first  # one cell to the left of the first sample
         hi = -math.pi + h * (last + 2.0)  # one cell to the right of the last
         # Each cell of a run is a grid-local minimum, so all its samples are
@@ -313,9 +304,7 @@ def grid_minimize(
     return GridResult(
         minima=tuple(merged),
         grid_n=grid_n,
-        value_tol=CLUSTER_VALUE_TOL,
         angle_tol=h,
-        plateau=plateau,
         refine_evaluations=refine_evaluations,
         clusters=len(candidates),
     )

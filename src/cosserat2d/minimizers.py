@@ -34,7 +34,7 @@ from .planar import (
     rotation,
     trace_invariants,
 )
-from .weights import _REGIME_NON_CLASSICAL, Weights
+from .weights import _REGIME_NON_CLASSICAL, _ZERO_COUPLE, Weights
 
 
 class MinimizerSet(NamedTuple):
@@ -127,10 +127,7 @@ def _optimal_angles(inv: TraceInvariants, w: Weights):
     return _BRANCH_CLASSICAL, (alpha_p,), 0.0
 
 
-_DEFAULT_WEIGHTS = Weights(1.0, 0.0)
-
-
-def stationarity_residual(alpha: float, f: Mat2, w: Weights = _DEFAULT_WEIGHTS) -> float:
+def stationarity_residual(alpha: float, f: Mat2, w: Weights = _ZERO_COUPLE) -> float:
     """Analytic d/dalpha of the shear-stretch energy along the circle.
 
     With t(alpha) = tr(R(alpha)^T F) the derivative factors as

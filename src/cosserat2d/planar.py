@@ -47,7 +47,7 @@ def _finite_entry(name: str, value) -> float:
 class _StoredInvariants:
     # A slot outside the dataclass fields, so fields(), astuple, repr, == and
     # hash never see it. It holds the checked TraceInvariants once known, or
-    # None; a copy or an unpickled Mat2 skips __init__ and leaves it unset.
+    # None, which Mat2.__init__ sets, also for a copy or an unpickled Mat2.
     __slots__ = ("_checked_invariants",)
 
 
@@ -72,6 +72,10 @@ class Mat2(_StoredInvariants):
         _set_e21(self, _finite_entry("e21", e21))
         _set_e22(self, _finite_entry("e22", e22))
         _set_checked_invariants(self, None)
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, which clears the stored invariants
+        return type(self), self.entries()
 
     @classmethod
     def identity(cls) -> "Mat2":
@@ -202,10 +206,7 @@ def trace_invariants(f: Mat2) -> TraceInvariants:
     The first successful call stores the result on f and later calls return
     it; an F outside GL+(2) stores nothing and raises on every call.
     """
-    try:
-        inv = f._checked_invariants
-    except AttributeError:  # a copy or an unpickled Mat2
-        inv = None
+    inv = f._checked_invariants
     if inv is None:
         require_gl_plus(f)
         inv = TraceInvariants._make(_invariants(f.e11, f.e12, f.e21, f.e22))

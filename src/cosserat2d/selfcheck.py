@@ -27,7 +27,7 @@ from .planar import (
     singular_values,
     trace_invariants,
 )
-from .weights import Weights, reduction_data
+from .weights import _ZERO_COUPLE, Weights, reduction_data
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +144,7 @@ def _rel(a: float, b: float) -> float:
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
-_LIMIT = Weights(1.0, 0.0)
-_LOG_STRAIN_WEIGHTS = (Weights(1.0, 1.0), _LIMIT, Weights(2.0, 0.5), Weights(1.0, 3.0))
+_LOG_STRAIN_WEIGHTS = (Weights(1.0, 1.0), _ZERO_COUPLE, Weights(2.0, 0.5), Weights(1.0, 3.0))
 
 
 def _oracle(profile, grid_n: int) -> bruteforce.GridResult:
@@ -211,7 +210,7 @@ def _ring(rng, i, grid_n):
     f = random_gl_plus(rng)
     r = random_rotation(rng)
     ring = energy.ring_energy(r, f)
-    return _rel(ring.wring + ring.cring, energy.shear_stretch_energy(r, f, _LIMIT))
+    return _rel(ring.wring + ring.cring, energy.shear_stretch_energy(r, f, _ZERO_COUPLE))
 
 
 @_property("expanding_the_square", 1e-10)
@@ -242,7 +241,7 @@ def _dist_formula(rng, i, grid_n):
 @_property("reduced_energy_singular_values", 1e-10)
 def _reduced_sv(rng, i, grid_n):
     f = random_gl_plus(rng)
-    value = energy.reduced_energy(f, _LIMIT).value
+    value = energy.reduced_energy(f, _ZERO_COUPLE).value
     return _rel(value, energy.reduced_energy_sv(singular_values(f)))
 
 
@@ -252,7 +251,8 @@ def _affine_offset(rng, i, grid_n):
     data = reduction_data(f, w)
     c4 = energy.constants_chain(f, w).c4
     offsets = np.array([
-        energy.rescaled_energy(r, f, w) - data.lam**2 * energy.rescaled_energy(r, data.ftilde, _LIMIT)
+        energy.rescaled_energy(r, f, w)
+        - data.lam**2 * energy.rescaled_energy(r, data.ftilde, _ZERO_COUPLE)
         for r in (random_rotation(rng) for _ in range(100))
     ])
     top, bottom = offsets.max(), offsets.min()
@@ -284,7 +284,7 @@ def _classical_bound(rng, i, grid_n):
 def _transport(rng, i, grid_n):
     f, w = random_nonclassical_case(rng, bifurcation_gap=1e-3)
     full = _oracle(energy.shear_stretch_profile(f, w), grid_n)
-    reduced = _oracle(energy.shear_stretch_profile(reduction_data(f, w).ftilde, _LIMIT), grid_n)
+    reduced = _oracle(energy.shear_stretch_profile(reduction_data(f, w).ftilde, _ZERO_COUPLE), grid_n)
     return bruteforce.angle_set_distance(full.angles, reduced.angles)
 
 
@@ -311,9 +311,9 @@ def _pitchfork_symmetry(rng, i, grid_n):
 @_property("minimality_over_criticals", 1e-12)
 def _minimality(rng, i, grid_n):
     f = random_gl_plus(rng)
-    best = minimizers.optimal_set(f, _LIMIT).energy
+    best = minimizers.optimal_set(f, _ZERO_COUPLE).energy
     return _worst(
-        best - energy.shear_stretch_energy(rotation(a), f, _LIMIT) for a in _critical_angles(f)
+        best - energy.shear_stretch_energy(rotation(a), f, _ZERO_COUPLE) for a in _critical_angles(f)
     )
 
 
@@ -334,7 +334,7 @@ def _sharpness(rng, i, grid_n):
     # residual is the margin by which the quotient bound fails; 0 when it holds
     return _worst(
         0.5 * h**-0.5 - minimizers.relative_rotation_magnitude(w.singular_radius() + h, w) / h
-        for w in (_LIMIT, Weights(1.0, 0.5), Weights(2.0, 0.5))
+        for w in (_ZERO_COUPLE, Weights(1.0, 0.5), Weights(2.0, 0.5))
         for h in (1e-2, 1e-4, 1e-6)
     )
 
@@ -358,7 +358,7 @@ def _shear_levels(rng, i, grid_n):
     assert cs.nonclassical is not None
     pairs = ((lv.w1, cs.classical_pair[1]), (lv.w2, cs.classical_pair[0]),
              (lv.w3, cs.nonclassical[0]))
-    residuals = [_rel(w, energy.shear_stretch_energy(rotation(a), f, _LIMIT)) for w, a in pairs]
+    residuals = [_rel(w, energy.shear_stretch_energy(rotation(a), f, _ZERO_COUPLE)) for w, a in pairs]
     return _worst(residuals + [_rel(lv.w3, 0.5 * gamma * gamma)])
 
 

@@ -21,9 +21,8 @@ from .planar import (
     _polar_angle,
     trace_invariants,
 )
-from .weights import Weights
+from .weights import _ZERO_COUPLE
 
-_ZERO_COUPLE = Weights(1.0, 0.0)
 _RHO = _ZERO_COUPLE.singular_radius()
 
 #: Tolerances of the cancellation predicate on tr F and tr U.

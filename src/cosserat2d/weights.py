@@ -34,15 +34,15 @@ _REGIME_NON_CLASSICAL = Regime.NON_CLASSICAL
 class _DerivedWeights:
     # Slots outside the dataclass fields, fixed by Weights.__init__: the
     # regime and, for a non-classical pair, the scaling parameter (else None).
-    __slots__ = ("_regime", "_scaling")
+    __slots__ = ("regime", "_scaling")
 
 
 @dataclass(frozen=True, slots=True, init=False)
 class Weights(_DerivedWeights):
     """Shear modulus mu > 0 and couple modulus muc >= 0.
 
-    Immutable; the regime and the scaling parameter are fixed at
-    construction.
+    Immutable; the regime (classical iff muc >= mu, non-classical iff
+    mu > muc) and the scaling parameter are fixed at construction.
     """
 
     mu: float
@@ -67,11 +67,6 @@ class Weights(_DerivedWeights):
         # pickle and copy rebuild through __init__, which fixes the derived slots
         return type(self), (self.mu, self.muc)
 
-    @property
-    def regime(self) -> Regime:
-        """Classical iff muc >= mu, non-classical iff mu > muc."""
-        return self._regime
-
     def scaling(self) -> float:
         """Scaling parameter mu / (mu - muc) >= 1; requires mu > muc."""
         if self._scaling is None:
@@ -91,8 +86,11 @@ class Weights(_DerivedWeights):
 
 # The slot descriptors' setters store past the frozen __setattr__.
 _set_mu, _set_muc = (Weights.__dict__[name].__set__ for name in ("mu", "muc"))
-_set_regime = _DerivedWeights._regime.__set__
+_set_regime = _DerivedWeights.regime.__set__
 _set_scaling = _DerivedWeights._scaling.__set__
+
+# The zero-couple-modulus limit pair, onto which non-classical pairs reduce.
+_ZERO_COUPLE = Weights(1.0, 0.0)
 
 
 class ReductionData(NamedTuple):
@@ -110,7 +108,7 @@ def reduction_data(f: Mat2, w: Weights) -> ReductionData:
     """Rescaling that maps (f, w) onto the zero-couple-modulus limit case."""
     require_gl_plus(f)
     lam = w.scaling()
-    return ReductionData(rho=2.0 * lam, lam=lam, ftilde=(1.0 / lam) * f)
+    return ReductionData(rho=w.singular_radius(), lam=lam, ftilde=(1.0 / lam) * f)
 
 
 def rescaled_stretch_trace(f: Mat2, w: Weights) -> float:

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cosserat2d import Mat2, Weights, rotation, shear_stretch_energy
@@ -520,6 +521,13 @@ class TestBounds:
         assert code == 2 and out == ""
         assert err == f"error: cannot write {str(tmp_path)!r}: Is a directory\n"
 
+    def test_out_name_too_long_exits_2(self, capsys, tmp_path):
+        # passes the early check and fails when opened, after the work
+        path = tmp_path / ("x" * (os.pathconf(tmp_path, "PC_NAME_MAX") + 1))
+        code, out, err = run_cli(capsys, "critical", "--f", "3", "0", "0", "1", "--out", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: cannot write {str(path)!r}: File name too long\n"
+
     @pytest.mark.parametrize("grid_n", [str(cli.MAX_GRID_N + 1), "10000000000000"])
     @pytest.mark.parametrize("argv", [
         ["minimize", "--f", "3", "0", "0", "1", "--certify"],
@@ -648,6 +656,11 @@ class TestVerify:
     def test_run_suite_rejects_samples_below_one(self, samples):
         with pytest.raises(ValueError, match="samples must be at least 1"):
             selfcheck.run_suite(samples=samples)
+
+    def test_worst_rejects_no_cases(self):
+        prop = selfcheck.PROPERTIES["closed_form_vs_oracle"]
+        with pytest.raises(ValueError, match="^cases must be at least 1, got 0$"):
+            prop.worst(np.random.default_rng(0), 0)
 
     def test_env_seed_override(self, capsys, monkeypatch):
         monkeypatch.setenv("COSSERAT2D_SEED", "99")

@@ -6,9 +6,11 @@ tests hold both refactors to bit-identical results. The profile digest was
 recorded before each closed form was reduced to one definition, and holds
 the grid profiles to the same bits. The `verify` digests were recorded
 before the properties moved onto one registry of per-case definitions,
-and hold every residual to the same bits. All depend on the platform's
-libm (cos, sin, atan2, acos) and, for the profiles and `verify`, on
-numpy's own ufunc loops (cos, sin, log, log1p, arctan2, sqrt) and, for
+and hold every residual to the same bits. The oracle digest pins the
+grid oracle's own output: its minima, grid step and work counters, and
+the roots of its sign-change scan. All depend on the platform's libm
+(cos, sin, atan2, acos) and, for the profiles, the oracle and `verify`,
+on numpy's own ufunc loops (cos, sin, log, log1p, arctan2, sqrt) and, for
 `verify`, its eigensolver, so they were recorded with CPython 3.11 and
 numpy 2.4 on x86-64 Linux (glibc, AVX-512); another libm, numpy build or
 CPU may differ in the last bit.
@@ -29,6 +31,7 @@ from cosserat2d import (
     cofactor_shear_profile,
     critical_energy_levels,
     critical_set,
+    grid_minimize,
     log_strain_profile,
     optimal_set,
     polar_angle,
@@ -38,10 +41,12 @@ from cosserat2d import (
     shear_solution,
     shear_stretch_energy,
     shear_stretch_profile,
+    sign_change_scan,
     signed_defect_profile,
     trace_invariants,
 )
 from cosserat2d.cli import main
+from cosserat2d.selfcheck import random_gl_plus, random_nonclassical_case
 
 F_PITCHFORK = ["--f", "3", "0.5", "-0.2", "1"]
 F_CLASSICAL = ["--f", "0.5", "0.1", "0", "0.5"]
@@ -244,3 +249,40 @@ def test_json_outputs_parse_strictly(name, tmp_path):
     path = tmp_path / "out"
     assert main(JSON_CASES[name] + ["--out", str(path)]) == 0
     json.loads(path.read_text(), parse_constant=_reject_constant)
+
+
+def oracle_reprs(n=40, seed=14400):
+    """repr of the oracle's own output on n seeded cases per grid size.
+
+    Each case runs grid_minimize on the shear-stretch, cofactor and
+    log-strain profiles at 720, 2048, 4096 and 20,000 angles, keeping the
+    measured fields (minima, grid_n, angle_tol, refine_evaluations,
+    clusters), and sign_change_scan on the signed defect profile at the
+    same grid sizes. Odd cases are non-classical and kept 1e-3 away from
+    the singular radius, even ones are general (F, w) pairs.
+    """
+    rng = np.random.default_rng(seed)
+    lines = []
+    for k in range(n):
+        if k % 2:
+            f, w = random_nonclassical_case(rng, bifurcation_gap=1e-3)
+        else:
+            f, w = random_gl_plus(rng), Weights(rng.uniform(0.1, 3.0), rng.uniform(0.0, 3.0))
+        profiles = (shear_stretch_profile(f, w), cofactor_shear_profile(f, w),
+                    log_strain_profile(f, w))
+        for grid_n in (720, 2048, 4096, 20000):
+            for profile in profiles:
+                grid = grid_minimize(profile, grid_n, vectorized=True)
+                lines.append(repr((grid.minima, grid.grid_n, grid.angle_tol,
+                                   grid.refine_evaluations, grid.clusters)))
+            lines.append(repr(sign_change_scan(signed_defect_profile(f), grid_n,
+                                               vectorized=True)))
+    return "\n".join(lines) + "\n"
+
+
+#: Recorded before GridResult lost its plateau and value_tol fields.
+ORACLE_SHA256 = "6875c494def09bbbf8899967cc0751fdfa65ac5a801acabf706bbb4ead80f04f"
+
+
+def test_oracle_results_bits():
+    assert hashlib.sha256(oracle_reprs().encode()).hexdigest() == ORACLE_SHA256

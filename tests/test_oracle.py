@@ -1,5 +1,6 @@
 """Tests for the brute-force grid minimizer and root scanner."""
 
+import json
 import math
 import re
 import tracemalloc
@@ -32,6 +33,7 @@ from cosserat2d.bruteforce import (
     _bisect,
     _clusters,
     _near_cells,
+    _parabolic_polish,
     _sample,
     _scalar,
 )
@@ -44,16 +46,16 @@ LIMIT = Weights(1.0, 0.0)
 
 
 class TestGridResult:
-    """GridResult is a named tuple with the fields, defaults and properties it had."""
+    """GridResult is a named tuple of what the oracle measured, with defaults and properties."""
 
     def test_record_and_defaults(self):
-        grid = GridResult(((0.5, 0.25), (-1.0, 0.125)), 720, 1e-7, 0.125, False)
+        grid = GridResult(((0.5, 0.25), (-1.0, 0.125)), 720, 0.125)
         check_record(
             grid,
-            "GridResult(minima=((0.5, 0.25), (-1.0, 0.125)), grid_n=720, value_tol=1e-07, "
-            "angle_tol=0.125, plateau=False, refine_evaluations=0, clusters=0)",
-            minima=((0.5, 0.25), (-1.0, 0.125)), grid_n=720, value_tol=1e-7, angle_tol=0.125,
-            plateau=False, refine_evaluations=0, clusters=0,
+            "GridResult(minima=((0.5, 0.25), (-1.0, 0.125)), grid_n=720, "
+            "angle_tol=0.125, refine_evaluations=0, clusters=0)",
+            minima=((0.5, 0.25), (-1.0, 0.125)), grid_n=720, angle_tol=0.125,
+            refine_evaluations=0, clusters=0,
         )
         assert GridResult._field_defaults == {"refine_evaluations": 0, "clusters": 0}
         assert grid.angles == (0.5, -1.0)
@@ -66,6 +68,12 @@ class TestGridResult:
         assert grid.angles == (grid.minima[0][0],) and grid.best_value == grid.minima[0][1]
         assert grid.clusters == 1 and grid.refine_evaluations > 0
 
+    def test_json_round_trip(self):
+        # every field is a plain Python value, so the record serializes as is
+        grid = grid_minimize(lambda a: (a - 0.5) ** 2, 720)
+        fields = json.loads(json.dumps(grid._asdict()))
+        assert fields == {**grid._asdict(), "minima": [list(m) for m in grid.minima]}
+
 
 class TestGridMinimize:
     def test_single_classical_minimum(self):
@@ -75,7 +83,6 @@ class TestGridMinimize:
         )
         assert len(grid.minima) == 1
         assert grid.angles[0] == pytest.approx(0.0, abs=1e-8)
-        assert not grid.plateau
 
     def test_two_pitchfork_minima(self):
         grid = grid_minimize(
@@ -94,9 +101,9 @@ class TestGridMinimize:
         assert angle_set_distance(grid.angles, (-math.pi / 3.0, math.pi / 3.0)) < 1e-8
 
     def test_constant_function_plateau(self):
+        # the whole circle is one near-minimal run, refined to one minimum
         grid = grid_minimize(lambda a: 5.0, grid_n=720)
-        assert grid.plateau
-        assert len(grid.minima) == 1
+        assert len(grid.minima) == 1 and grid.clusters == 1
         assert grid.minima[0][1] == 5.0
 
     def test_minimum_at_pi_reported_once(self):
@@ -109,7 +116,7 @@ class TestGridMinimize:
             f, w = random_nonclassical_case(RNG, bifurcation_gap=1e-3)
             grid = grid_minimize(shear_stretch_profile(f, w), 2048, vectorized=True)
             for _, value in grid.minima:
-                assert value <= grid.best_value + grid.value_tol
+                assert value <= grid.best_value + CLUSTER_VALUE_TOL
 
     def test_minima_pairwise_separated(self):
         for _ in range(20):
@@ -130,6 +137,13 @@ class TestGridMinimize:
             coarse = grid_minimize(profile, 2048, vectorized=True)
             fine = grid_minimize(profile, 4096, vectorized=True)
             assert angle_set_distance(coarse.angles, fine.angles) < 1e-8
+
+    @pytest.mark.parametrize("energy", [lambda a: 0.0, lambda a: a[:-1]],
+                             ids=["scalar", "short"])
+    def test_vectorized_energy_must_match_the_angles(self, energy):
+        for scan in (grid_minimize, sign_change_scan):
+            with pytest.raises(ValueError, match="^vectorized energy must return one value"):
+                scan(energy, 720, vectorized=True)
 
     def test_rejects_small_grid(self):
         with pytest.raises(ValueError):
@@ -216,6 +230,13 @@ class TestGridMinimize:
         assert g1 == g2
 
 
+class TestAngleSetDistance:
+    def test_empty_sets(self):
+        assert angle_set_distance([], []) == 0.0
+        assert angle_set_distance([], [0.5]) == math.inf
+        assert angle_set_distance((0.5,), ()) == math.inf
+
+
 class TestSignChangeScan:
     def test_sine(self):
         roots = sign_change_scan(math.sin)
@@ -240,6 +261,10 @@ class TestSignChangeScan:
             assert len(roots) == 2
             expected = (polar_angle(f), polar_angle(f) + math.pi)
             assert angle_set_distance(roots, expected) < 1e-8
+
+    def test_bisection_stops_at_an_exact_zero(self):
+        # the first midpoint of [-1, 1] is the root itself
+        assert _bisect(lambda a: a, -1.0, 1.0, -1.0, 1e-10) == 0.0
 
     def test_exact_zero_at_node(self):
         roots = sign_change_scan(lambda a: math.sin(a - math.pi / 2.0), grid_n=720)
@@ -343,6 +368,10 @@ class TestRefinement:
             grid = grid_minimize(landscapes[name], 720, vectorized=True)
             assert len(grid.minima) == 1
             assert circular_distance(grid.angles[0], expected) < 1e-7
+
+    def test_polish_rejects_a_vertex_beyond_its_stencil(self):
+        # the parabola through x = 0 -/+ 1e-5 has its vertex at 1.0, far outside
+        assert _parabolic_polish(lambda a: (a - 1.0) ** 2, 0.0, 1.0) == (0.0, 1.0)
 
     def test_sentinel_floor_stays_on_floor(self):
         profile = self._landscapes()["log_sentinel_floor"]

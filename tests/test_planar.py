@@ -338,6 +338,15 @@ class TestRelativeAngle:
             assert (rotation(beta) - product).frobenius_norm() < 1e-12
 
 
+#: Each way to clone a Mat2.
+CLONES = pytest.mark.parametrize("clone", [
+    lambda f: pickle.loads(pickle.dumps(f)),
+    copy.copy,
+    copy.deepcopy,
+    dataclasses.replace,
+], ids=["pickle", "copy", "deepcopy", "replace"])
+
+
 def _stored(f):
     # the checked invariants f holds; None when it holds none
     return getattr(f, "_checked_invariants", None)
@@ -414,12 +423,17 @@ class TestStoredInvariants:
         with pytest.raises((AttributeError, TypeError)):
             stored._checked_invariants = None
 
-    @pytest.mark.parametrize("clone", [
-        lambda f: pickle.loads(pickle.dumps(f)),
-        copy.copy,
-        copy.deepcopy,
-        dataclasses.replace,
-    ], ids=["pickle", "copy", "deepcopy", "replace"])
+    @CLONES
+    def test_clones_rebuild_through_init(self, clone):
+        # the clone's slot is set, to None, before its first trace_invariants
+        f = Mat2(0.3, -1.2, -0.0, 1.7)
+        inv = trace_invariants(f)
+        g = clone(f)
+        assert g._checked_invariants is None
+        assert repr(g) == repr(f) and math.copysign(1.0, g.e21) == -1.0
+        assert repr(trace_invariants(g)) == repr(inv) and g._checked_invariants == inv
+
+    @CLONES
     def test_clones_compute_again_on_first_use(self, clone):
         f = Mat2(0.3, -1.2, 0.9, 1.7)
         inv = trace_invariants(f)

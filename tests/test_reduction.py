@@ -20,8 +20,10 @@ from cosserat2d import (
     rescaled_stretch_trace,
     shear_stretch_energy,
     shear_stretch_profile,
+    stationarity_residual,
     trace_invariants,
 )
+from cosserat2d import selfcheck, shear
 from cosserat2d.selfcheck import (
     PROPERTIES,
     random_classical_weights,
@@ -29,7 +31,7 @@ from cosserat2d.selfcheck import (
     random_nonclassical_case,
     random_rotation,
 )
-from cosserat2d.weights import ReductionData
+from cosserat2d.weights import _ZERO_COUPLE, ReductionData
 from record_checks import check_record
 
 RNG = np.random.default_rng(20260812)
@@ -80,9 +82,12 @@ class TestWeightsValue:
         assert not hasattr(w, "__dict__")
         with pytest.raises(dataclasses.FrozenInstanceError):
             w.mu = 3.0
-        # no new attributes either; CPython 3.11's frozen-slots __setattr__ raises TypeError
-        with pytest.raises((AttributeError, TypeError)):
-            w.extra = 1.0
+        # nor the regime slot, nor new attributes; CPython 3.11's frozen-slots
+        # __setattr__ raises TypeError for a name that is not a field
+        for name, value in (("regime", Regime.CLASSICAL), ("extra", 1.0)):
+            with pytest.raises((AttributeError, TypeError)):
+                setattr(w, name, value)
+        assert w.regime is Regime.NON_CLASSICAL
 
     def test_regime_members_are_the_public_ones(self):
         # the per-call paths compare against members bound at import
@@ -155,6 +160,14 @@ class TestWeightsValue:
             else:
                 assert w.scaling().hex() == (mu / (mu - muc)).hex()
                 assert w.singular_radius().hex() == (2.0 * (mu / (mu - muc))).hex()
+
+    def test_one_zero_couple_pair(self):
+        # the limit pair is one object, shared by every module that uses it
+        assert _ZERO_COUPLE == Weights(1.0, 0.0)
+        assert stationarity_residual.__defaults__[0] is _ZERO_COUPLE
+        assert shear._ZERO_COUPLE is _ZERO_COUPLE
+        assert selfcheck._ZERO_COUPLE is _ZERO_COUPLE
+
 
 class TestReductionData:
     def test_record(self):
