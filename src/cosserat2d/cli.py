@@ -185,18 +185,18 @@ def _cannot_write(out: str, exc: OSError) -> PlanarCosseratError:
 
 
 def _check_out(out: str | None) -> None:
-    """Fail before any work when --out names a directory or lies in a
-    missing one or under a file, with the error that opening it would
-    raise. Creates no file; any other failure to open shows when written.
+    """Fail before any work, with the error that opening --out would raise,
+    when it names a directory, lies in a missing one or under a file, or is
+    a name the file system rejects. Creates no file; other failures show later.
     """
     if out is None:
         return
-    head, tail = os.path.split(out)
     try:
-        if head and tail and not stat.S_ISDIR(os.stat(head).st_mode):
-            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
-        if os.path.isdir(out):
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        try:
+            if stat.S_ISDIR(os.stat(out).st_mode):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        except FileNotFoundError:  # a new file: its directory must exist
+            os.stat(os.path.dirname(out) or os.curdir)
     except OSError as exc:
         raise _cannot_write(out, exc) from exc
 
@@ -504,7 +504,7 @@ def _cmd_bifurcation(args) -> int:
         )
     tr_values = _sweep_values(args.tru_start, args.tru_end, args.tru_step, positive=True)
     rho = w.singular_radius()
-    pitchfork = minimizers._pitchfork
+    pitchfork = energy._pitchfork
 
     def row(tr_u: float) -> tuple:
         beta = pitchfork(tr_u, rho)[0]

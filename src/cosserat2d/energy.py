@@ -1,15 +1,16 @@
 """Energy functionals of the planar shear-stretch minimization problem.
 
 The primary functional weights the symmetric and skew parts of the
-microstrain R^T F - 1 by mu and muc. Several algebraically equivalent
-forms are provided (expanded trace polynomial, trace-only form plus a
-rotation-independent constant, rescaled form) because their mutual
-agreement is part of the verification contract, together with the reduced
-(minimized-over-rotations) energies and two variant functionals built on
-the cofactor map and on the principal matrix logarithm.
+microstrain R^T F - 1 by mu and muc. Algebraically equivalent forms
+(expanded trace polynomial, trace-only form plus a rotation-independent
+constant, rescaled form) are kept because their mutual agreement is part
+of the verification contract, with the reduced (minimized-over-rotations)
+energies and two variants built on the cofactor map and the principal
+matrix logarithm. All identities are expressed through t = tr(R^T F);
+dimension-specific constants use ||identity||^2 = 2.
 
-All identities are expressed through t = tr(R^T F); dimension-specific
-constants use ||identity||^2 = 2.
+It also holds the unvalidated float cores that minimizers and shear share:
+microstretch, energy at an angle, critical levels, pitchfork, optimal angles.
 """
 
 from __future__ import annotations
@@ -24,12 +25,15 @@ from .errors import LogUndefined, NonPositiveSingularValue
 from .planar import (
     Mat2,
     SingularPair,
+    TraceInvariants,
+    _polar_angle,
     _transpose_times,
+    normalize_angle,
     require_gl_plus,
     require_rotation,
     trace_invariants,
 )
-from .weights import _REGIME_CLASSICAL, Weights
+from .weights import _REGIME_CLASSICAL, _REGIME_NON_CLASSICAL, Weights
 
 
 class Branch(enum.Enum):
@@ -63,11 +67,11 @@ def _energy_at(alpha: float, e11: float, e12: float, e21: float, e22: float,
     return _sym_skew_energy(x11, x12, x21, x22, mu, muc)
 
 
-def _checked_microstretch(r: Mat2, f: Mat2) -> Mat2:
-    # R^T F as a Mat2 product, after checking R in SO(2) and F in GL+(2)
+def _checked_microstretch(r: Mat2, f: Mat2) -> tuple[float, float, float, float]:
+    # the entries of R^T F, after checking R in SO(2) and F in GL+(2)
     require_rotation(r)
     require_gl_plus(f)
-    return r.transpose() @ f
+    return _transpose_times(r, f)
 
 
 def shear_stretch_energy(r: Mat2, f: Mat2, w: Weights) -> float:
@@ -76,9 +80,7 @@ def shear_stretch_energy(r: Mat2, f: Mat2, w: Weights) -> float:
     Nonnegative; vanishes exactly when the microstrain is zero (muc > 0)
     or when its symmetric part is zero (muc = 0).
     """
-    require_rotation(r)
-    require_gl_plus(f)
-    return _sym_skew_energy(*_transpose_times(r, f), w.mu, w.muc)
+    return _sym_skew_energy(*_checked_microstretch(r, f), w.mu, w.muc)
 
 
 def energy_expanded(r: Mat2, f: Mat2, w: Weights) -> float:
@@ -88,9 +90,9 @@ def energy_expanded(r: Mat2, f: Mat2, w: Weights) -> float:
     Agrees with shear_stretch_energy identically; kept separate so the
     identity can be tested rather than assumed.
     """
-    x = _checked_microstretch(r, f)
-    tr_x = x.trace()
-    tr_x_sq = x.e11**2 + 2.0 * x.e12 * x.e21 + x.e22**2  # tr(X @ X)
+    x11, x12, x21, x22 = _checked_microstretch(r, f)
+    tr_x = x11 + x22
+    tr_x_sq = x11**2 + 2.0 * x12 * x21 + x22**2  # tr(X @ X)
     return (
         0.5 * (w.mu - w.muc) * tr_x_sq
         - 2.0 * w.mu * tr_x
@@ -110,7 +112,8 @@ def ring_energy(r: Mat2, f: Mat2) -> RingEnergy:
     only through t = tr(R^T F), namely t^2/2 - 2t, plus the constant
     ||F||^2/2 - det F + 2. Their sum is shear_stretch_energy(r, f, (1, 0)).
     """
-    t = _checked_microstretch(r, f).trace()
+    x11, _, _, x22 = _checked_microstretch(r, f)
+    t = x11 + x22
     wring = 0.5 * t * t - 2.0 * t
     cring = 0.5 * f.frobenius_sq() - f.det() + 2.0
     return RingEnergy(wring, cring)
@@ -184,6 +187,30 @@ def _critical_levels(tr_u: float, det_f: float, frob_f: float):
     return w1, w2, w3
 
 
+def _pitchfork(tr_u: float, rho: float, alpha_p: float | None = None):
+    # The pitchfork at tr U = rho, unvalidated. Returns (beta, pair): (0.0, None)
+    # below rho; from rho on beta = arccos(rho / tr U) and alpha_p split into
+    # pair = (alpha_p + beta, alpha_p - beta), or pair None when alpha_p is None.
+    if tr_u < rho:
+        return 0.0, None
+    beta = math.acos(rho / tr_u)
+    if alpha_p is None:
+        return beta, None
+    return beta, (normalize_angle(alpha_p + beta), normalize_angle(alpha_p - beta))
+
+
+def _optimal_angles(inv: TraceInvariants, w: Weights):
+    # (branch, angles, beta) of the optimal set from the invariants of F,
+    # unvalidated: the pitchfork pair from tr U = singular radius on, for
+    # non-classical weights, and the polar angle otherwise.
+    alpha_p = _polar_angle(inv.tr_f, inv.tr_jf)
+    if w.regime is _REGIME_NON_CLASSICAL:
+        beta, pair = _pitchfork(inv.tr_u, w.singular_radius(), alpha_p)
+        if pair:
+            return _BRANCH_PITCHFORK, pair, beta
+    return _BRANCH_CLASSICAL, (alpha_p,), 0.0
+
+
 class ReducedEnergy(NamedTuple):
     value: float
     branch: Branch
@@ -205,7 +232,7 @@ def reduced_energy(f: Mat2, w: Weights) -> ReducedEnergy:
         return ReducedEnergy(
             w.mu * (inv.frob_f**2 - 2.0 * inv.tr_u + 2.0), _BRANCH_CLASSICAL
         )
-    branch, angles, _ = minimizers._optimal_angles(inv, w)
+    branch, angles, _ = _optimal_angles(inv, w)
     value = _energy_at(angles[0], f.e11, f.e12, f.e21, f.e22, w.mu, w.muc)
     return ReducedEnergy(value, branch)
 
@@ -233,9 +260,9 @@ def cofactor_energy(r: Mat2, f: Mat2, w: Weights) -> float:
     cofactor of R^T F is the transpose of R^T applied to the transformed
     gradient and the sym/skew norms are transpose-invariant.
     """
-    x = _checked_microstretch(r, f)
+    x11, x12, x21, x22 = _checked_microstretch(r, f)
     # cofactor (adjugate) of X: (x22, -x12; -x21, x11)
-    return _sym_skew_energy(x.e22, -x.e12, -x.e21, x.e11, w.mu, w.muc)
+    return _sym_skew_energy(x22, -x12, -x21, x11, w.mu, w.muc)
 
 
 _LOG_BRANCH_TOL = 1e-14
@@ -298,7 +325,7 @@ def log_strain_energy(r: Mat2, f: Mat2, w: Weights) -> float:
 
     Defined only where the principal logarithm of R^T F exists.
     """
-    lg = matrix_log_2x2(_checked_microstretch(r, f))
+    lg = matrix_log_2x2(Mat2(*_checked_microstretch(r, f)))
     return _sym_skew_energy(lg.e11, lg.e12, lg.e21, lg.e22, w.mu, w.muc, shift=0.0)
 
 
@@ -386,7 +413,3 @@ def log_strain_profile(f: Mat2, w: Weights) -> Profile:
         return float(out[0]) if arr.ndim == 0 else out
 
     return profile
-
-
-# minimizers imports this module, so it is bound last; reduced_energy uses it
-from . import minimizers  # noqa: E402

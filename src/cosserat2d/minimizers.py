@@ -1,11 +1,11 @@
 """Closed-form critical rotations and optimal rotation sets.
 
-For classical weights the polar factor is the unique minimizer. For
-non-classical weights a pitchfork opens at tr U = singular radius: the
-minimizer splits into the symmetric pair alpha_p +/- arccos(rho / tr U).
-At the threshold the pair coincides with the polar angle and is still
-tagged as the pitchfork branch, keeping the branch map right-continuous
-in tr U.
+Checked calls over energy's float cores. For classical weights the polar
+factor is the unique minimizer. For non-classical weights a pitchfork
+opens at tr U = singular radius (energy._pitchfork): the minimizer splits
+into the symmetric pair alpha_p +/- arccos(rho / tr U). At the threshold
+the pair coincides with the polar angle and is still tagged as the
+pitchfork branch, keeping the branch map right-continuous in tr U.
 """
 
 from __future__ import annotations
@@ -14,27 +14,25 @@ import math
 from typing import NamedTuple
 
 from .energy import (
-    _BRANCH_CLASSICAL,
-    _BRANCH_PITCHFORK,
     Branch,
     EnergyLevels,
     Profile,
     _checked_microstretch,
     _cos_sin,
+    _optimal_angles,
+    _pitchfork,
     critical_energy_levels,
     shear_stretch_energy,
 )
 from .planar import (
     Mat2,
-    TraceInvariants,
-    _polar_angle,
     normalize_angle,
     polar_angle,
     require_gl_plus,
     rotation,
     trace_invariants,
 )
-from .weights import _REGIME_NON_CLASSICAL, _ZERO_COUPLE, Weights
+from .weights import _ZERO_COUPLE, Weights
 
 
 class MinimizerSet(NamedTuple):
@@ -81,18 +79,6 @@ def critical_set(f: Mat2) -> CriticalSet:
     return CriticalSet(pair, nonclassical, critical_energy_levels(f))
 
 
-def _pitchfork(tr_u: float, rho: float, alpha_p: float | None = None):
-    # The pitchfork at tr U = rho, unvalidated. Returns (beta, pair): (0.0, None)
-    # below rho; from rho on beta = arccos(rho / tr U) and alpha_p split into
-    # pair = (alpha_p + beta, alpha_p - beta), or pair None when alpha_p is None.
-    if tr_u < rho:
-        return 0.0, None
-    beta = math.acos(rho / tr_u)
-    if alpha_p is None:
-        return beta, None
-    return beta, (normalize_angle(alpha_p + beta), normalize_angle(alpha_p - beta))
-
-
 def relative_rotation_magnitude(tr_u: float, w: Weights) -> float:
     """The bifurcation diagram: beta(tr U) for non-classical weights.
 
@@ -115,18 +101,6 @@ def optimal_set(f: Mat2, w: Weights) -> MinimizerSet:
     return MinimizerSet(branch, angles, value, beta)
 
 
-def _optimal_angles(inv: TraceInvariants, w: Weights):
-    # (branch, angles, beta) of the optimal set from the invariants of F,
-    # unvalidated: the pitchfork pair from tr U = singular radius on, for
-    # non-classical weights, and the polar angle otherwise.
-    alpha_p = _polar_angle(inv.tr_f, inv.tr_jf)
-    if w.regime is _REGIME_NON_CLASSICAL:
-        beta, pair = _pitchfork(inv.tr_u, w.singular_radius(), alpha_p)
-        if pair:
-            return _BRANCH_PITCHFORK, pair, beta
-    return _BRANCH_CLASSICAL, (alpha_p,), 0.0
-
-
 def stationarity_residual(alpha: float, f: Mat2, w: Weights = _ZERO_COUPLE) -> float:
     """Analytic d/dalpha of the shear-stretch energy along the circle.
 
@@ -147,8 +121,8 @@ def microstrain_symmetry_defect(r: Mat2, f: Mat2) -> float:
     Equals |sin(beta)| * tr U / 2 with beta the rotation of R relative to
     the polar factor; zero exactly at the polar factor and its opposite.
     """
-    x = _checked_microstretch(r, f)
-    return abs(0.5 * (x.e12 - x.e21))
+    _, x12, x21, _ = _checked_microstretch(r, f)
+    return abs(0.5 * (x12 - x21))
 
 
 def signed_defect_profile(f: Mat2) -> Profile:

@@ -148,7 +148,10 @@ def require_gl_plus(f: Mat2) -> Mat2:
 
 
 def _transpose_times(r: Mat2, x: Mat2) -> tuple[float, float, float, float]:
-    """Entries of R^T X, bit-identical to (r.transpose() @ x).entries() when finite."""
+    """Entries of R^T X, bit-identical to (r.transpose() @ x).entries() when finite.
+
+    The checked functions' one R^T F route; an overflowing entry is inf, not an error.
+    """
     return (
         r.e11 * x.e11 + r.e21 * x.e21,
         r.e11 * x.e12 + r.e21 * x.e22,

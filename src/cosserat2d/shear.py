@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .energy import _critical_levels, _energy_at
+from .energy import _critical_levels, _energy_at, _pitchfork
 from .errors import InadmissibleKappa
-from .minimizers import _pitchfork
 from .planar import (
     Mat2,
     _finite_entry,

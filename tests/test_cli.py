@@ -408,7 +408,7 @@ class TestBifurcation:
         def no_rows(*args):
             raise AssertionError("a row was computed")
 
-        monkeypatch.setattr(cli.minimizers, "_pitchfork", no_rows)
+        monkeypatch.setattr(cli.energy, "_pitchfork", no_rows)
         path = tmp_path / "bifurcation.csv"
         code, out, err = run_cli(
             capsys,
@@ -521,10 +521,11 @@ class TestBounds:
         assert code == 2 and out == ""
         assert err == f"error: cannot write {str(tmp_path)!r}: Is a directory\n"
 
-    def test_out_name_too_long_exits_2(self, capsys, tmp_path):
-        # passes the early check and fails when opened, after the work
+    def test_out_name_too_long_exits_2(self, capsys, tmp_path, no_oracle_work):
         path = tmp_path / ("x" * (os.pathconf(tmp_path, "PC_NAME_MAX") + 1))
-        code, out, err = run_cli(capsys, "critical", "--f", "3", "0", "0", "1", "--out", str(path))
+        code, out, err = run_cli(
+            capsys, "verify", "--samples", "1", "--grid-n", "360", "--out", str(path)
+        )
         assert code == 2 and out == ""
         assert err == f"error: cannot write {str(path)!r}: File name too long\n"
 

@@ -21,6 +21,7 @@ from cosserat2d import (
     log_strain_energy,
     log_strain_profile,
     matrix_log_2x2,
+    microstrain_symmetry_defect,
     optimal_set,
     polar_decompose,
     reduced_energy,
@@ -76,10 +77,39 @@ class TestShearStretchEnergy:
         assert shear_stretch_energy(r, f, Weights(1.0, 1.0)) > 0.1
 
     def test_matches_matrix_product(self):
-        # R^T F from entries must keep the bits of the Mat2 transpose-and-multiply route
-        def via_mat2(r, f, w):
-            x = r.transpose() @ f
-            return _sym_skew_energy(x.e11, x.e12, x.e21, x.e22, w.mu, w.muc)
+        # R^T F from entries must keep the bits of the Mat2 transpose-and-multiply
+        # route, in every checked function that forms it
+        def expanded(x, f, w):
+            tr_x_sq = x.e11**2 + 2.0 * x.e12 * x.e21 + x.e22**2
+            return (0.5 * (w.mu - w.muc) * tr_x_sq - 2.0 * w.mu * x.trace()
+                    + 0.5 * (w.mu + w.muc) * f.frobenius_sq() + 2.0 * w.mu)
+
+        def ring(x, f, w):
+            t = x.trace()
+            return (0.5 * t * t - 2.0 * t, 0.5 * f.frobenius_sq() - f.det() + 2.0)
+
+        def log_strain(x, f, w):
+            lg = matrix_log_2x2(x)
+            return _sym_skew_energy(lg.e11, lg.e12, lg.e21, lg.e22, w.mu, w.muc, 0.0)
+
+        routes = [
+            (shear_stretch_energy,
+             lambda x, f, w: _sym_skew_energy(x.e11, x.e12, x.e21, x.e22, w.mu, w.muc)),
+            (energy_expanded, expanded),
+            (lambda r, f, w: ring_energy(r, f), ring),
+            (cofactor_energy,
+             lambda x, f, w: _sym_skew_energy(x.e22, -x.e12, -x.e21, x.e11, w.mu, w.muc)),
+            (log_strain_energy, log_strain),
+            (lambda r, f, w: microstrain_symmetry_defect(r, f),
+             lambda x, f, w: abs(0.5 * (x.e12 - x.e21))),
+        ]
+
+        def outcome(call, *args):
+            # the value, or the type and text of the error raised (LogUndefined for the log)
+            try:
+                return call(*args)
+            except ValueError as exc:
+                return type(exc), str(exc)
 
         rng = np.random.default_rng(62)
         for _ in range(300):
@@ -90,7 +120,25 @@ class TestShearStretchEnergy:
             for r in (rotation(a), near):
                 for scale in (1e-100, 1.0, 1e100):
                     g = f * scale
-                    assert shear_stretch_energy(r, g, w) == via_mat2(r, g, w)
+                    x = r.transpose() @ g
+                    for checked, formula in routes:
+                        assert outcome(checked, r, g, w) == outcome(formula, x, g, w)
+
+    def test_overflowing_microstretch_in_every_checked_function(self):
+        # R^T F = (inf, 7.1e299; 2.0e292, 7.1e299): the energies square an entry
+        # beyond the floating-point range, while the skew entry is finite
+        r, f, w = rotation(math.pi / 4.0), Mat2(1.5e308, 1.0, 1.5e308, 1e300), Weights(1.0, 0.5)
+        x12 = r.e11 * f.e12 + r.e21 * f.e22
+        x21 = r.e12 * f.e11 + r.e22 * f.e21
+        defect = microstrain_symmetry_defect(r, f)
+        assert defect == abs(0.5 * (x12 - x21)) == pytest.approx(3.5e299, rel=0.02)
+        for energy in (shear_stretch_energy, energy_expanded, cofactor_energy):
+            with pytest.raises(OverflowError):
+                energy(r, f, w)
+        with pytest.raises(OverflowError):
+            ring_energy(r, f)
+        with pytest.raises(ValueError, match="matrix entry e11 must be finite, got inf"):
+            log_strain_energy(r, f, w)
 
     def test_overflowing_microstretch_raises_overflow(self):
         # R^T F has an infinite entry; its square is out of the floating-point range
