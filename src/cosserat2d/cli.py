@@ -195,7 +195,9 @@ def _check_out(out: str | None) -> None:
         try:
             if stat.S_ISDIR(os.stat(out).st_mode):
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-        except FileNotFoundError:  # a new file: its directory must exist
+        except FileNotFoundError:  # a new file: it needs a name, and its directory must exist
+            if not out:
+                raise
             os.stat(os.path.dirname(out) or os.curdir)
     except OSError as exc:
         raise _cannot_write(out, exc) from exc

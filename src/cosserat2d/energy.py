@@ -323,9 +323,13 @@ def _log_cases(x11, x12, x21, x22, d: float):
 def log_strain_energy(r: Mat2, f: Mat2, w: Weights) -> float:
     """mu*||sym log(R^T F)||^2 + muc*||skew log(R^T F)||^2.
 
-    Defined only where the principal logarithm of R^T F exists.
+    Defined only where the principal logarithm of R^T F exists. Raises
+    OverflowError when an entry of R^T F is beyond the floating-point range.
     """
-    lg = matrix_log_2x2(Mat2(*_checked_microstretch(r, f)))
+    x = _checked_microstretch(r, f)
+    if not all(map(math.isfinite, x)):
+        raise OverflowError(f"R^T F has an entry beyond the floating-point range: {x!r}")
+    lg = matrix_log_2x2(Mat2(*x))
     return _sym_skew_energy(lg.e11, lg.e12, lg.e21, lg.e22, w.mu, w.muc, shift=0.0)
 
 

@@ -25,9 +25,5 @@ class LogUndefined(PlanarCosseratError):
     """The principal matrix logarithm does not exist (eigenvalue on (-inf, 0])."""
 
 
-class InadmissibleKappa(PlanarCosseratError):
-    """Glide-family perturbation |kappa| >= 1 leaves GL+(2)."""
-
-
 class NonFiniteEnergy(PlanarCosseratError):
     """An energy evaluation produced NaN or infinity."""

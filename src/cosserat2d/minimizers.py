@@ -17,7 +17,6 @@ from .energy import (
     Branch,
     EnergyLevels,
     Profile,
-    _checked_microstretch,
     _cos_sin,
     _optimal_angles,
     _pitchfork,
@@ -113,16 +112,6 @@ def stationarity_residual(alpha: float, f: Mat2, w: Weights = _ZERO_COUPLE) -> f
     t = inv.tr_f * c - inv.tr_jf * s
     t_prime = -inv.tr_f * s - inv.tr_jf * c
     return ((w.mu - w.muc) * t - 2.0 * w.mu) * t_prime
-
-
-def microstrain_symmetry_defect(r: Mat2, f: Mat2) -> float:
-    """Magnitude of the off-diagonal skew entry of R^T F.
-
-    Equals |sin(beta)| * tr U / 2 with beta the rotation of R relative to
-    the polar factor; zero exactly at the polar factor and its opposite.
-    """
-    _, x12, x21, _ = _checked_microstretch(r, f)
-    return abs(0.5 * (x12 - x21))
 
 
 def signed_defect_profile(f: Mat2) -> Profile:

@@ -278,12 +278,3 @@ def cofactor_transform(f: Mat2) -> Mat2:
     """
     require_gl_plus(f)
     return Mat2(f.e22, -f.e21, -f.e12, f.e11)
-
-
-def relative_angle(alpha: float, f: Mat2) -> float:
-    """Angle of R(alpha)^T * polar(F), i.e. the rotation of R(alpha)
-
-    relative to the continuum rotation. Returns polar_angle(f) - alpha,
-    normalized to (-pi, pi].
-    """
-    return normalize_angle(polar_angle(f) - alpha)

@@ -405,6 +405,25 @@ def _classical_oracle(rng, i, grid_n):
     return _polar_miss(_oracle(energy.shear_stretch_profile(f, w), grid_n), f)
 
 
+@_property("cofactor_energy_transport", 1e-12, per=10)
+def _cofactor_energy(rng, i, grid_n):
+    f = random_gl_plus(rng)
+    r = random_rotation(rng)
+    w = Weights(rng.uniform(0.1, 3.0), rng.uniform(0.0, 3.0))
+    transported = energy.shear_stretch_energy(r, cofactor_transform(f), w)
+    return _rel(energy.cofactor_energy(r, f, w), transported)
+
+
+@_property("log_strain_at_polar_factor", 1e-10, per=10)
+def _log_strain_polar(rng, i, grid_n):
+    # at the polar factor R^T F = U, whose logarithm is symmetric with eigenvalues log(sigma)
+    f = random_gl_plus(rng)
+    w = Weights(rng.uniform(0.1, 3.0), rng.uniform(0.0, 3.0))
+    sv = singular_values(f)
+    value = energy.log_strain_energy(polar_decompose(f).rotation, f, w)
+    return _rel(value, w.mu * (math.log(sv.sigma1) ** 2 + math.log(sv.sigma2) ** 2))
+
+
 def run_suite(seed: int = 0, samples: int = 300, grid_n: int = 2048) -> list[CheckResult]:
     """Run every registered property, the one at `index` on `default_rng([seed, index])`."""
     if samples < 1:

@@ -1,5 +1,4 @@
-"""Simple shear: closed-form optimal rotations, the glide family, and the
-rotation-cancellation predicate.
+"""Simple shear: closed-form optimal rotations and critical energy levels.
 
 For a simple shear of amount gamma the stretch trace is sqrt(4 + gamma^2),
 so the pitchfork branch of the zero-couple-modulus energy is always active
@@ -12,21 +11,10 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .energy import _critical_levels, _energy_at, _pitchfork
-from .errors import InadmissibleKappa
-from .planar import (
-    Mat2,
-    _finite_entry,
-    _invariants,
-    _polar_angle,
-    trace_invariants,
-)
+from .planar import Mat2, _finite_entry, _invariants, _polar_angle
 from .weights import _ZERO_COUPLE
 
 _RHO = _ZERO_COUPLE.singular_radius()
-
-#: Tolerances of the cancellation predicate on tr F and tr U.
-TRACE_TOL = 1e-10
-STRETCH_TOL = 1e-12
 
 
 def simple_shear(gamma: float) -> Mat2:
@@ -68,26 +56,3 @@ def _shear_levels(gamma: float):
     # critical_energy_levels(simple_shear(gamma)) as a tuple, unvalidated
     _, _, tr_u, det_f, frob_f = _invariants(1.0, gamma, 0.0, 1.0)
     return _critical_levels(tr_u, det_f, frob_f)
-
-
-def glide_family(gamma: float, kappa: float) -> Mat2:
-    """Simple shear perturbed by kappa * diag(1, -1).
-
-    Shares tr F and the stretch trace with the unperturbed shear for every
-    admissible kappa, so the cancellation property survives; determinant
-    drops to 1 - kappa^2, hence |kappa| < 1 is required.
-    """
-    if not abs(kappa) < 1.0:
-        raise InadmissibleKappa(f"|kappa| must be < 1, got {kappa!r}")
-    return Mat2(1.0 + float(kappa), float(gamma), 0.0, 1.0 - float(kappa))
-
-
-def cancellation_check(f: Mat2) -> bool:
-    """Whether one optimal relative rotation cancels the polar rotation.
-
-    True exactly on the set tr F = 2 and tr U >= 2 (within tolerance);
-    there the identity rotation belongs to the optimal set of the
-    zero-couple-modulus energy.
-    """
-    inv = trace_invariants(f)
-    return abs(inv.tr_f - 2.0) <= TRACE_TOL and inv.tr_u >= 2.0 - STRETCH_TOL

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import RequiresNonClassical
-from .planar import Mat2, require_gl_plus, trace_invariants
+from .planar import Mat2, require_gl_plus
 
 
 class Regime(enum.Enum):
@@ -109,13 +109,3 @@ def reduction_data(f: Mat2, w: Weights) -> ReductionData:
     require_gl_plus(f)
     lam = w.scaling()
     return ReductionData(rho=w.singular_radius(), lam=lam, ftilde=(1.0 / lam) * f)
-
-
-def rescaled_stretch_trace(f: Mat2, w: Weights) -> float:
-    """Stretch trace of the shrunk gradient, tr U / lam.
-
-    The bifurcation predicate is invariant under the rescaling:
-    tr U >= rho exactly when the rescaled trace is >= 2.
-    """
-    lam = w.scaling()
-    return trace_invariants(f).tr_u / lam

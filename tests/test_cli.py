@@ -529,6 +529,11 @@ class TestBounds:
         assert code == 2 and out == ""
         assert err == f"error: cannot write {str(path)!r}: File name too long\n"
 
+    def test_out_empty_name_exits_2(self, capsys, no_oracle_work):
+        code, out, err = run_cli(capsys, "verify", "--samples", "1", "--grid-n", "360", "--out", "")
+        assert code == 2 and out == ""
+        assert err == "error: cannot write '': No such file or directory\n"
+
     @pytest.mark.parametrize("grid_n", [str(cli.MAX_GRID_N + 1), "10000000000000"])
     @pytest.mark.parametrize("argv", [
         ["minimize", "--f", "3", "0", "0", "1", "--certify"],

@@ -6,7 +6,9 @@ tests hold both refactors to bit-identical results. The profile digest was
 recorded before each closed form was reduced to one definition, and holds
 the grid profiles to the same bits. The `verify` digests were recorded
 before the properties moved onto one registry of per-case definitions,
-and hold every residual to the same bits. The oracle digest pins the
+and hold every residual to the same bits; they were recorded again when
+two properties were appended to the suite, whose earlier checks kept
+their bytes. The oracle digest pins the
 grid oracle's own output: its minima, grid step and work counters, and
 the roots of its sign-change scan. All depend on the platform's libm
 (cos, sin, atan2, acos) and, for the profiles, the oracle and `verify`,
@@ -113,9 +115,9 @@ CLI_SHA256 = {
     "critical_no_branch_json": "0d105d22d66df980bb45057cbd246185ac44f78ac37d1c6def5d5435c0731156",
     "energy_levels_csv": "c4f613ac59141dce60409484f4a935e22f18792f97453c7e984482eace1eabb9",
     "energy_levels_json": "0843c3e0f5b51658560aa0881a91015b99290d140aafb5f051e64fc734ec0909",
-    "verify_json": "480edccb16c000739490d0517ba7c6294b02c8ca45ee14e1c5e4646487ed17ef",
-    "verify_text": "acaf4c6bed9b5daf32170291d64811bf8094cc665f976c253c0f3537a7505d5f",
-    "verify_seed7_json": "15a44ce71b5d96bc4c501a425946908d36c038b10f5249eacc64affaeee8f9cb",
+    "verify_json": "09fdcdf9dbe1b264156c8bebb219676a9a5e78130edf8c7c979a089588dbe818",
+    "verify_text": "d5fca363d97a0257d8c198fe6a7267ca3438c7e2e9fd4915ad316c25afcaa1e0",
+    "verify_seed7_json": "ce43df6cf1586367105d14b16092881087318f6ba2902d0ab15c55d08cb8790a",
 }
 
 

@@ -1,4 +1,6 @@
-"""The package's modules import one another without a cycle."""
+"""The package's modules import one another without a cycle, every public
+function and class has a caller in the package, and no module in the package
+or the tests imports a name it never uses."""
 
 import ast
 from pathlib import Path
@@ -6,6 +8,7 @@ from pathlib import Path
 import cosserat2d
 
 PACKAGE = Path(cosserat2d.__file__).parent
+TESTS = Path(__file__).parent
 
 
 def module_graph(package: Path) -> dict[str, set[str]]:
@@ -64,3 +67,70 @@ def test_cycle_is_named():
     assert find_cycle(graph) == ["a", "b", "c", "a"]
     assert find_cycle({"a": {"b"}, "b": set(), "c": {"a", "b"}}) is None
 
+
+def unreferenced(package: Path) -> list[str]:
+    # "module.name" of each public module-level function or class that no code
+    # in the package names outside its own definition; __init__'s re-exports
+    # are not callers
+    defined, used = [], set()
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            own = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+            if own and not own.startswith("_"):
+                defined.append((own, f"{path.stem}.{own}"))
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and node.id != own:
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute) and node.attr != own:
+                    used.add(node.attr)
+    return [qualified for name, qualified in defined if name not in used]
+
+
+def unused_imports(path: Path) -> list[str]:
+    # each name the module's imports bind and no expression of it reads;
+    # the names listed in __all__ count as read
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound, used = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return [name for name in bound if name not in used]
+
+
+def test_every_public_function_and_class_has_a_caller():
+    assert unreferenced(PACKAGE) == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    paths = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    unused = {path.name: names for path in paths if (names := unused_imports(path))}
+    assert unused == {}
+
+
+def test_uncalled_names_and_unused_imports_are_named(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .a import Unused, uncalled\n")
+    (tmp_path / "a.py").write_text(
+        "def called():\n    pass\n\n"
+        "def uncalled():\n    return uncalled() or called()\n\n"
+        "class Unused:\n    pass\n\n"
+        "def _private():\n    pass\n"
+    )
+    assert unreferenced(tmp_path) == ["a.uncalled", "a.Unused"]
+    module = tmp_path / "m.py"
+    module.write_text(
+        "from __future__ import annotations\n"
+        "import os.path, sys\nfrom json import dumps as d, loads\n"
+        "__all__ = ['loads']\nprint(sys)\n"
+    )
+    assert unused_imports(module) == ["os", "d"]

@@ -11,16 +11,14 @@ from cosserat2d import (
     Weights,
     circular_distance,
     critical_set,
-    microstrain_symmetry_defect,
     normalize_angle,
     optimal_set,
     polar_angle,
-    polar_decompose,
     reduced_energy,
-    relative_angle,
     relative_rotation_magnitude,
     rotation,
     shear_stretch_energy,
+    signed_defect_profile,
     stationarity_residual,
     trace_invariants,
 )
@@ -230,27 +228,28 @@ class TestStationarityResidual:
 
 
 class TestMicrostrainSymmetryDefect:
+    """|signed_defect_profile(f)(a)|, the skew entry of R(a)^T F in magnitude."""
+
     def test_zero_at_polar_and_opposite(self):
         for _ in range(100):
             f = random_gl_plus(RNG)
-            polar_rot = polar_decompose(f).rotation
-            assert microstrain_symmetry_defect(polar_rot, f) < 1e-14
-            assert microstrain_symmetry_defect(-1.0 * polar_rot, f) < 1e-14
+            alpha_p = polar_angle(f)
+            defect = signed_defect_profile(f)
+            assert abs(defect(alpha_p)) < 1e-14
+            assert abs(defect(normalize_angle(alpha_p + math.pi))) < 1e-14
 
     def test_nonclassical_minimizer_example(self):
-        value = microstrain_symmetry_defect(rotation(math.pi / 3.0), Mat2.diagonal(3.0, 1.0))
+        value = abs(signed_defect_profile(Mat2.diagonal(3.0, 1.0))(math.pi / 3.0))
         assert value == pytest.approx(math.sqrt(3.0), abs=1e-12)
 
     def test_relative_angle_formula(self):
+        # |sin(beta)| * tr U / 2, beta the rotation of R(a) relative to the polar factor
         for _ in range(300):
             f = random_gl_plus(RNG)
             a = RNG.uniform(-math.pi, math.pi)
             inv = trace_invariants(f)
-            beta = relative_angle(a, f)
-            expected = abs(math.sin(beta)) * inv.tr_u / 2.0
-            assert microstrain_symmetry_defect(rotation(a), f) == pytest.approx(
-                expected, abs=1e-10
-            )
+            expected = abs(math.sin(polar_angle(f) - a)) * inv.tr_u / 2.0
+            assert abs(signed_defect_profile(f)(a)) == pytest.approx(expected, abs=1e-10)
 
 
 class TestOracleAgreementSpot:

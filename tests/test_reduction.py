@@ -17,7 +17,6 @@ from cosserat2d import (
     grid_minimize,
     polar_decompose,
     reduction_data,
-    rescaled_stretch_trace,
     shear_stretch_energy,
     shear_stretch_profile,
     stationarity_residual,
@@ -214,22 +213,25 @@ class TestReductionData:
 
 
 class TestRescaledStretchTrace:
+    """The stretch trace of the shrunk gradient, tr U / lam."""
+
+    @staticmethod
+    def rescaled_tr_u(f, w):
+        return trace_invariants(reduction_data(f, w).ftilde).tr_u
+
     def test_examples(self):
-        assert rescaled_stretch_trace(Mat2.diagonal(3.0, 3.0), Weights(1.0, 0.5)) == pytest.approx(3.0)
-        assert rescaled_stretch_trace(Mat2.identity(), LIMIT) == pytest.approx(2.0)
-        assert rescaled_stretch_trace(Mat2.diagonal(0.5, 0.5), LIMIT) == pytest.approx(1.0)
+        assert self.rescaled_tr_u(Mat2.diagonal(3.0, 3.0), Weights(1.0, 0.5)) == pytest.approx(3.0)
+        assert self.rescaled_tr_u(Mat2.identity(), LIMIT) == pytest.approx(2.0)
+        assert self.rescaled_tr_u(Mat2.diagonal(0.5, 0.5), LIMIT) == pytest.approx(1.0)
 
     def test_bifurcation_predicate_transport(self):
+        # tr U >= rho exactly when the rescaled trace is >= 2; the matrix route
+        # may differ by float roundoff only at the exact threshold, which
+        # random sampling does not hit
         for _ in range(300):
             f, w = random_nonclassical_case(RNG)
-            data = reduction_data(f, w)
-            direct = trace_invariants(f).tr_u >= data.rho
-            rescaled = rescaled_stretch_trace(f, w) >= 2.0
-            transported = trace_invariants(data.ftilde).tr_u >= 2.0 - 1e-13
-            assert direct == rescaled
-            # the matrix route may differ by float roundoff only at the
-            # exact threshold, which random sampling does not hit
-            assert rescaled == transported
+            direct = trace_invariants(f).tr_u >= w.singular_radius()
+            assert direct == (self.rescaled_tr_u(f, w) >= 2.0 - 1e-13)
 
 
 class TestPolarScalingInvariance:
@@ -275,5 +277,3 @@ class TestClassicalLowerBound:
     def test_scaling_raises_for_classical(self):
         with pytest.raises(RequiresNonClassical):
             Weights(1.0, 1.5).scaling()
-        with pytest.raises(RequiresNonClassical):
-            rescaled_stretch_trace(Mat2.identity(), Weights(1.0, 1.0))

@@ -1,4 +1,9 @@
-"""Tests for the simple-shear specialization and the glide family."""
+"""Tests for the simple-shear specialization and the glide family.
+
+The glide family is the simple shear perturbed by kappa * diag(1, -1),
+Mat2(1 + kappa, gamma, 0, 1 - kappa) with |kappa| < 1: it keeps tr F = 2
+and the stretch trace of the shear, so the identity stays optimal.
+"""
 
 import math
 
@@ -6,20 +11,18 @@ import numpy as np
 import pytest
 
 from cosserat2d import (
-    InadmissibleKappa,
     Mat2,
     Weights,
     angle_set_distance,
-    cancellation_check,
     critical_energy_levels,
     critical_set,
-    glide_family,
     grid_minimize,
-    microstrain_symmetry_defect,
+    optimal_set,
     rotation,
     shear_solution,
     shear_stretch_energy,
     shear_stretch_profile,
+    signed_defect_profile,
     simple_shear,
     trace_invariants,
 )
@@ -118,7 +121,7 @@ class TestShearSolution:
         for gamma in (0.5, 1.0, 2.0, -3.0):
             f = simple_shear(gamma)
             for a in shear_solution(gamma).angles:
-                assert microstrain_symmetry_defect(rotation(a), f) > 0.1 * abs(gamma)
+                assert abs(signed_defect_profile(f)(a)) > 0.1 * abs(gamma)
 
 
 class TestArctanIdentity:
@@ -128,11 +131,8 @@ class TestArctanIdentity:
 
 
 class TestGlideFamily:
-    def test_kappa_zero(self):
-        assert (glide_family(1.5, 0.0) - simple_shear(1.5)).frobenius_norm() == 0.0
-
     def test_determinant_and_invariant_traces(self):
-        f = glide_family(2.0, 0.5)
+        f = Mat2(1.0 + 0.5, 2.0, 0.0, 1.0 - 0.5)
         assert f.det() == pytest.approx(0.75, abs=1e-15)
         inv = trace_invariants(f)
         assert inv.tr_u == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-14)
@@ -140,28 +140,23 @@ class TestGlideFamily:
         assert inv.tr_jf == 2.0
 
     def test_identity_still_optimal_near_degeneracy(self):
-        f = glide_family(1.0, 0.9)
+        f = Mat2(1.0 + 0.9, 1.0, 0.0, 1.0 - 0.9)
         grid = grid_minimize(shear_stretch_profile(f, LIMIT), vectorized=True)
         assert min(abs(a) for a in grid.angles) < 1e-7
 
-    def test_rejects_inadmissible_kappa(self):
-        with pytest.raises(InadmissibleKappa):
-            glide_family(1.0, 1.0)
-        with pytest.raises(InadmissibleKappa):
-            glide_family(1.0, -1.2)
-
 
 class TestCancellationCheck:
+    """On the set tr F = 2, tr U >= 2 one optimal rotation cancels the polar
+    rotation: the identity belongs to the zero-couple-modulus optimal set."""
+
     def test_simple_shears(self):
         for gamma in (-5.0, -0.5, 0.0, 0.5, 5.0):
-            assert cancellation_check(simple_shear(gamma))
+            assert min(abs(a) for a in optimal_set(simple_shear(gamma), LIMIT).angles) < 1e-12
 
     def test_glide_family(self):
         for kappa in (-0.9, -0.3, 0.4, 0.99):
-            assert cancellation_check(glide_family(2.0, kappa))
-
-    def test_rejects_generic_stretch(self):
-        assert not cancellation_check(Mat2.diagonal(3.0, 1.0))
+            f = Mat2(1.0 + kappa, 2.0, 0.0, 1.0 - kappa)
+            assert min(abs(a) for a in optimal_set(f, LIMIT).angles) < 1e-12
 
     def test_trace_condition_implies_stretch_condition(self):
         # tr U^2 = tr F^2 + tr JF^2, so tr F = 2 already forces tr U >= 2
@@ -170,17 +165,13 @@ class TestCancellationCheck:
             f = Mat2(1.0 + x, RNG.uniform(-2, 2), RNG.uniform(-2, 2), 1.0 - x)
             if f.det() <= 0.05:
                 continue
-            assert cancellation_check(f)
-
-    def test_requires_positive_determinant(self):
-        from cosserat2d import NonPositiveDeterminant
-
-        with pytest.raises(NonPositiveDeterminant):
-            cancellation_check(Mat2.diagonal(2.0, -1.0))
+            inv = trace_invariants(f)
+            assert abs(inv.tr_f - 2.0) <= 1e-10 and inv.tr_u >= 2.0 - 1e-12
 
     def test_cancellation_implies_zero_in_argmin(self):
         for gamma, kappa in ((1.0, 0.0), (2.0, 0.5), (-3.0, -0.2)):
-            f = glide_family(gamma, kappa)
-            assert cancellation_check(f)
+            f = Mat2(1.0 + kappa, gamma, 0.0, 1.0 - kappa)
+            inv = trace_invariants(f)
+            assert inv.tr_f == 2.0 and inv.tr_u >= 2.0
             grid = grid_minimize(shear_stretch_profile(f, LIMIT), vectorized=True)
             assert min(abs(a) for a in grid.angles) < 1e-7
