@@ -55,6 +55,28 @@ def _sym_skew_energy(x11, x12, x21, x22, mu: float, muc: float, shift: float = 1
     return mu * sym_sq + muc * skew_sq
 
 
+def _sym_skew_by_products(x11, x12, x21, x22, mu: float, muc: float, shift: float):
+    # _sym_skew_energy with every square a product, on floats or arrays; array
+    # arguments are overwritten. numpy squares an array by multiplication, so
+    # arrays get _sym_skew_energy's bits, while ** squares a float through C pow.
+    x11 -= shift
+    x22 -= shift
+    skew_sq = x12 - x21
+    x12 += x21
+    x11 *= x11
+    x22 *= x22
+    x12 *= x12
+    skew_sq *= skew_sq
+    x12 *= 0.5
+    skew_sq *= 0.5
+    x11 += x22
+    x11 += x12  # sym_sq
+    x11 *= mu
+    skew_sq *= muc
+    x11 += skew_sq
+    return x11
+
+
 def _microstretch(c, s, e11: float, e12: float, e21: float, e22: float):
     # entries of R(alpha)^T F from c = cos(alpha), s = sin(alpha), on floats or arrays
     return c * e11 + s * e21, c * e12 + s * e22, -s * e11 + c * e21, -s * e12 + c * e22
@@ -277,47 +299,93 @@ def matrix_log_2x2(x: Mat2) -> Mat2:
     eigenvalues (Jordan form; exact since the nilpotent part squares to
     zero). Raises LogUndefined when the spectrum touches (-inf, 0].
     """
-    x11, x12, x21, x22 = np.array(x.entries())[:, None]
-    # large entries overflow in the case tests; numpy's warnings about that
-    # are not shown, and no value changes
-    with np.errstate(all="ignore"):
-        for _, l11, l12, l21, l22 in _log_cases(x11, x12, x21, x22, x.det()):
-            return Mat2(l11[0], l12[0], l21[0], l22[0])
-    raise LogUndefined(
-        "an eigenvalue lies on the closed negative axis or its discriminant "
-        f"leaves the floating-point range (tr={x.trace()!r}, det={x.det()!r})"
-    )
+    lg = _log_at(*x.entries(), x.det())
+    if lg is None:
+        raise LogUndefined(
+            "an eigenvalue lies on the closed negative axis or its discriminant "
+            f"leaves the floating-point range (tr={x.trace()!r}, det={x.det()!r})"
+        )
+    return Mat2(*lg)
+
+
+# The three eigenvalue cases of the principal log of X, each written once. A
+# case maps t = tr X, disc = t^2 - 4 det X and d = det X (a float) to
+# (const, coeff, shift), with log X = const + coeff * (X - shift); it runs on
+# floats with math's sqrt or on the arrays of one case's mask with numpy's, and
+# on numpy's log, log1p and arctan2 for both. A coefficient is formed before
+# the log of an eigenvalue, so that a float eigenvalue that underflowed to 0
+# raises ZeroDivisionError before numpy's log can warn.
+
+def _log_complex(t, disc, d, sqrt):
+    # a complex-conjugate pair, in rotation-scaling form
+    half_t = 0.5 * t
+    b = 0.5 * sqrt(-disc)
+    return 0.5 * math.log(d), np.arctan2(b, half_t) / b, half_t
+
+
+def _log_distinct(t, disc, d, sqrt):
+    # distinct positive eigenvalues lam1 > lam2, in divided-difference form
+    sq = sqrt(disc)
+    lam2 = d / (0.5 * (t + sq))
+    coeff = np.log1p(sq / lam2) / sq
+    return np.log(lam2), coeff, lam2
+
+
+def _log_coincident(t, disc, d, sqrt):
+    # coincident positive eigenvalues, in Jordan form
+    lam = 0.5 * t
+    coeff = 1.0 / lam
+    return np.log(lam), coeff, lam
+
+
+def _log_entries(x11, x12, x21, x22, const, coeff, shift):
+    # the entries of const + coeff * (X - shift)
+    return (const + coeff * (x11 - shift), coeff * x12,
+            coeff * x21, const + coeff * (x22 - shift))
 
 
 def _log_cases(x11, x12, x21, x22, d: float):
     # Principal log of X = (x11, x12; x21, x22) on arrays, with det X = d a float.
     # Yields (mask, l11, l12, l21, l22), the entries of log X on mask, per
-    # eigenvalue case present, each in the form const + coeff * (X - shift);
-    # off every mask, log X is undefined.
+    # eigenvalue case present; off every mask, log X is undefined.
     t = x11 + x22
     disc = t * t - 4.0 * d
     tol = _LOG_BRANCH_TOL * np.maximum(1.0, np.maximum(t * t, 4.0 * abs(d)))
+    # a discriminant of +-inf makes tol inf too, so it must be finite in the last case
+    for m, case in ((disc < -tol, _log_complex),
+                    ((disc > tol) & (t > 0.0) & (d > 0.0), _log_distinct),
+                    ((np.abs(disc) <= tol) & np.isfinite(disc) & (t > 0.0), _log_coincident)):
+        if m.any():
+            yield (m, *_log_entries(x11[m], x12[m], x21[m], x22[m],
+                                    *case(t[m], disc[m], d, np.sqrt)))
 
-    def case(m, const, coeff, shift):
-        return (m, const + coeff * (x11[m] - shift), coeff * x12[m],
-                coeff * x21[m], const + coeff * (x22[m] - shift))
 
-    m = disc < -tol
-    if m.any():  # complex-conjugate pair
-        half_t = 0.5 * t[m]
-        b = 0.5 * np.sqrt(-disc[m])
-        yield case(m, 0.5 * math.log(d), np.arctan2(b, half_t) / b, half_t)
-    m = (disc > tol) & (t > 0.0)
-    if d > 0.0 and m.any():  # distinct positive eigenvalues
-        sq = np.sqrt(disc[m])
-        lam1 = 0.5 * (t[m] + sq)
-        lam2 = d / lam1
-        yield case(m, np.log(lam2), np.log1p(sq / lam2) / sq, lam2)
-    # a discriminant of +-inf makes tol inf too, so it must be finite here
-    m = (np.abs(disc) <= tol) & np.isfinite(disc) & (t > 0.0)
-    if m.any():  # coincident positive eigenvalues
-        lam = 0.5 * t[m]
-        yield case(m, np.log(lam), 1.0 / lam, lam)
+def _log_at(x11: float, x12: float, x21: float, x22: float, d: float):
+    # The entries of log X as floats, or None where log X is undefined: the case
+    # _log_cases would pick, picked by one if chain, its formula run on floats.
+    t = x11 + x22
+    tt = t * t
+    disc = tt - 4.0 * d
+    # max() skips a NaN that np.maximum returns, but then disc is NaN and no case applies
+    tol = _LOG_BRANCH_TOL * max(1.0, tt, 4.0 * abs(d))
+    if disc < -tol:
+        case = _log_complex
+    elif disc > tol and t > 0.0 and d > 0.0:
+        case = _log_distinct
+    elif abs(disc) <= tol and math.isfinite(disc) and t > 0.0:
+        case = _log_coincident
+    else:
+        return None
+    try:
+        const, coeff, shift = case(t, disc, d, math.sqrt)
+    except ZeroDivisionError:
+        # an eigenvalue underflowed to 0, where numpy's division gives inf:
+        # the array route answers for this one matrix
+        with np.errstate(all="ignore"):
+            for _, *lg in _log_cases(*np.array([[x11], [x12], [x21], [x22]]), d):
+                return tuple(float(v[0]) for v in lg)
+    # Python floats from here on, which overflow without numpy's warnings
+    return _log_entries(x11, x12, x21, x22, float(const), float(coeff), shift)
 
 
 def log_strain_energy(r: Mat2, f: Mat2, w: Weights) -> float:
@@ -335,19 +403,27 @@ def log_strain_energy(r: Mat2, f: Mat2, w: Weights) -> float:
 
 # ---------------------------------------------------------------------------
 # Single-angle profiles for the brute-force grid. They evaluate the defining
-# sym/skew forms entrywise through _microstretch and _sym_skew_energy, never
-# the trace shortcuts used by the closed-form minimizers, so grid
-# certification stays an independent route. An array of angles runs through
-# numpy; a single Python float (Brent refinement, the parabolic polish and
-# bisection) runs the same forms on floats, with math's cos and sin. A float
-# gets the bits of the same angle as a 0-d numpy array wherever numpy's
-# float64 cos and sin return math's (libm's), since both square with ** through
-# C pow. An array squares by multiplication instead, and pow(x, 2) rounds
-# differently from x * x on a few inputs, so the float and array routes of
-# the two energy profiles differ in the last bits of under 0.1% of values
-# (at most 3 ulps over 600,000 seeded ones), far below the oracle's value
-# tolerance. A square that overflows raises OverflowError on the float route
-# where numpy returns inf; the oracle reports both as NonFiniteEnergy.
+# sym/skew forms entrywise, never the trace shortcuts used by the closed-form
+# minimizers, so grid certification stays an independent route. Each profile
+# has two routes.
+#
+# A single angle (Brent refinement, the parabolic polish and bisection) takes
+# the float route: _microstretch and the sym/skew form on floats, with math's
+# cos and sin for a Python float. A numpy scalar or a 0-d array takes the same
+# formulas, on numpy's cos and sin, which return math's bits, in the two energy
+# profiles, and as a Python float in the log-strain one. An array of angles
+# takes the array route: R^T F from _microstretch_in_place, then the sym/skew
+# sums in place by _sym_skew_by_products.
+#
+# The log-strain profile squares by products on both routes, so its two routes
+# agree bit for bit; only the choice of eigenvalue case differs (one if chain,
+# or masks). The other two square a float with ** through C pow, which rounds
+# differently from a product on a few inputs, so their float and array routes
+# differ in the last bits of under 0.1% of values (at most 3 ulps over 600,000
+# seeded ones), far below the oracle's value tolerance. A square that overflows
+# raises OverflowError on the float route where numpy returns inf; the oracle
+# reports both as NonFiniteEnergy. An infinite angle gives NaN on both routes,
+# or the log's sentinel.
 # ---------------------------------------------------------------------------
 
 #: A profile maps a float angle to a float energy, and an array of angles
@@ -359,9 +435,30 @@ def _cos_sin(alpha):
     # (cos, sin) of alpha: math's for a single Python float, numpy's for
     # anything else (arrays, numpy scalars, ints)
     if type(alpha) is float:
-        return math.cos(alpha), math.sin(alpha)
+        try:
+            return math.cos(alpha), math.sin(alpha)
+        except ValueError:  # alpha is +-inf, where numpy's cos and sin are NaN
+            return math.nan, math.nan
     a = np.asarray(alpha, dtype=float)
     return np.cos(a), np.sin(a)
+
+
+def _microstretch_in_place(c, s, e11: float, e12: float, e21: float, e22: float):
+    # _microstretch on arrays, each sum formed in place. The entries have its
+    # bits: c*e21 - s*e11 is -s*e11 + c*e21 with the terms swapped (addition
+    # commutes, negation is exact). They stay four arrays: one stacked (4, n)
+    # array is 128 KiB at n = 4096, glibc's mmap threshold, and freeing it per
+    # block made the heap trim and fault its pages in again (3.5 to 10.5 minor
+    # faults per benchmark certify operation, against 0.2 with one-row arrays).
+    x11 = c * e11
+    x11 += s * e21
+    x12 = c * e12
+    x12 += s * e22
+    x21 = c * e21
+    x21 -= s * e11
+    x22 = c * e22
+    x22 -= s * e12
+    return x11, x12, x21, x22
 
 
 def shear_stretch_profile(f: Mat2, w: Weights) -> Profile:
@@ -370,9 +467,12 @@ def shear_stretch_profile(f: Mat2, w: Weights) -> Profile:
     (e11, e12, e21, e22), mu, muc = f.entries(), w.mu, w.muc
 
     def profile(alpha):
-        c, s = _cos_sin(alpha)
-        x11, x12, x21, x22 = _microstretch(c, s, e11, e12, e21, e22)
-        return _sym_skew_energy(x11, x12, x21, x22, mu, muc)
+        if type(alpha) is float or not np.ndim(alpha):
+            c, s = _cos_sin(alpha)
+            x11, x12, x21, x22 = _microstretch(c, s, e11, e12, e21, e22)
+            return _sym_skew_energy(x11, x12, x21, x22, mu, muc)
+        x = _microstretch_in_place(*_cos_sin(alpha), e11, e12, e21, e22)
+        return _sym_skew_by_products(*x, mu, muc, 1.0)
 
     return profile
 
@@ -383,9 +483,12 @@ def cofactor_shear_profile(f: Mat2, w: Weights) -> Profile:
     (e11, e12, e21, e22), mu, muc = f.entries(), w.mu, w.muc
 
     def profile(alpha):
-        c, s = _cos_sin(alpha)
-        x11, x12, x21, x22 = _microstretch(c, s, e11, e12, e21, e22)
-        return _sym_skew_energy(x22, -x12, -x21, x11, mu, muc)
+        if type(alpha) is float or not np.ndim(alpha):
+            c, s = _cos_sin(alpha)
+            x11, x12, x21, x22 = _microstretch(c, s, e11, e12, e21, e22)
+            return _sym_skew_energy(x22, -x12, -x21, x11, mu, muc)
+        x11, x12, x21, x22 = _microstretch_in_place(*_cos_sin(alpha), e11, e12, e21, e22)
+        return _sym_skew_by_products(x22, -x12, -x21, x11, mu, muc, 1.0)
 
     return profile
 
@@ -395,7 +498,7 @@ UNDEFINED_LOG_ENERGY = 1e9
 
 
 def log_strain_profile(f: Mat2, w: Weights) -> Profile:
-    """Vectorized alpha -> log_strain_energy(R(alpha), f, w).
+    """alpha -> log_strain_energy(R(alpha), f, w); float -> float, array -> array.
 
     Angles where the principal logarithm does not exist are reported with
     the finite sentinel UNDEFINED_LOG_ENERGY, so the profile stays total on
@@ -406,14 +509,19 @@ def log_strain_profile(f: Mat2, w: Weights) -> Profile:
     (e11, e12, e21, e22), d, mu, muc = f.entries(), f.det(), w.mu, w.muc
 
     def profile(alpha):
-        arr = np.asarray(alpha, dtype=float)
-        a = np.atleast_1d(arr)
-        out = np.full(a.shape, UNDEFINED_LOG_ENERGY)
-        # as in matrix_log_2x2; a single angle runs outside the oracle's errstate
+        if type(alpha) is float or not np.ndim(alpha):
+            c, s = _cos_sin(float(alpha))
+            lg = _log_at(*_microstretch(c, s, e11, e12, e21, e22), d)
+            if lg is None:
+                return UNDEFINED_LOG_ENERGY
+            return _sym_skew_by_products(*lg, mu, muc, 0.0)
+        # numpy's warnings about large entries or infinite angles are not shown,
+        # and no value changes; a call may run outside the oracle's errstate
         with np.errstate(all="ignore"):
-            x11, x12, x21, x22 = _microstretch(np.cos(a), np.sin(a), e11, e12, e21, e22)
+            x11, x12, x21, x22 = _microstretch_in_place(*_cos_sin(alpha), e11, e12, e21, e22)
+            out = np.full(x11.shape, UNDEFINED_LOG_ENERGY)
             for m, l11, l12, l21, l22 in _log_cases(x11, x12, x21, x22, d):
-                out[m] = _sym_skew_energy(l11, l12, l21, l22, mu, muc, 0.0)
-        return float(out[0]) if arr.ndim == 0 else out
+                out[m] = _sym_skew_by_products(l11, l12, l21, l22, mu, muc, 0.0)
+        return out
 
     return profile

@@ -34,7 +34,12 @@ from cosserat2d import (
     singular_values,
     trace_invariants,
 )
-from cosserat2d.energy import UNDEFINED_LOG_ENERGY, EnergyLevels, _sym_skew_energy
+from cosserat2d.energy import (
+    UNDEFINED_LOG_ENERGY,
+    EnergyLevels,
+    _log_cases,
+    _sym_skew_energy,
+)
 from cosserat2d.planar import ROTATION_TOL
 from cosserat2d.selfcheck import (
     random_gl_plus,
@@ -451,6 +456,34 @@ class TestMatrixLog:
         x = rotation(-1.2) @ Mat2.diagonal(2.5, 0.3)
         lg = matrix_log_2x2(x)
         np.testing.assert_allclose(expm(lg.as_array()), x.as_array(), atol=1e-12)
+
+    def test_float_route_has_the_array_bits(self):
+        # the case that _log_cases picks on a one-matrix array, run on floats
+        rng = np.random.default_rng(20261021)
+        xs = [Mat2(5e-324, -1e-8, 1e-8, 0.0)]  # lam = tr/2 underflows to 0
+        for _ in range(400):
+            lam = 10.0 ** rng.uniform(-3.0, 3.0)
+            xs += [Mat2(*rng.uniform(-2.0, 2.0, 4)), random_gl_plus(rng),
+                   Mat2(lam, rng.uniform(-1.0, 1.0), 0.0, lam),
+                   Mat2.diagonal(1e160 * lam, 1e-160 / lam)]
+        outcomes = set()
+        for x in xs:
+            with np.errstate(all="ignore"):
+                cases = [[float(v[0]) for v in lg]
+                         for _, *lg in _log_cases(*np.array(x.entries())[:, None], x.det())]
+            if not cases:
+                outcomes.add("undefined")
+                with pytest.raises(LogUndefined, match="^an eigenvalue lies on the closed"):
+                    matrix_log_2x2(x)
+            elif not all(map(math.isfinite, cases[0])):
+                outcomes.add("non-finite")
+                with pytest.raises(ValueError, match="^matrix entry e11 must be finite, got nan$"):
+                    matrix_log_2x2(x)
+            else:
+                outcomes.add("defined")
+                assert [v.hex() for v in matrix_log_2x2(x).entries()] == [
+                    v.hex() for v in cases[0]]
+        assert outcomes == {"undefined", "non-finite", "defined"}
 
     def test_undefined_on_negative_spectrum(self):
         with pytest.raises(LogUndefined):

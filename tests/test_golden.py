@@ -12,10 +12,12 @@ their bytes. The oracle digest pins the
 grid oracle's own output: its minima, grid step and work counters, and
 the roots of its sign-change scan. All depend on the platform's libm
 (cos, sin, atan2, acos) and, for the profiles, the oracle and `verify`,
-on numpy's own ufunc loops (cos, sin, log, log1p, arctan2, sqrt) and, for
-`verify`, its eigensolver, so they were recorded with CPython 3.11 and
-numpy 2.4 on x86-64 Linux (glibc, AVX-512); another libm, numpy build or
-CPU may differ in the last bit.
+on numpy's own ufunc loops: cos, sin, sqrt, log, log1p and arctan2 on
+arrays of angles, and log, log1p and arctan2 on the single floats of
+refinement and `matrix_log_2x2`, which take cos, sin and sqrt from libm
+through math. `verify` also depends on numpy's eigensolver. So they were
+recorded with CPython 3.11 and numpy 2.4 on x86-64 Linux (glibc,
+AVX-512); another libm, numpy build or CPU may differ in the last bit.
 """
 
 import hashlib

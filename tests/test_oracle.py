@@ -37,6 +37,7 @@ from cosserat2d.bruteforce import (
     _sample,
     _scalar,
 )
+from cosserat2d import energy
 from cosserat2d.energy import UNDEFINED_LOG_ENERGY
 from cosserat2d.selfcheck import PROPERTIES, random_gl_plus, random_nonclassical_case
 from record_checks import check_record
@@ -171,6 +172,17 @@ class TestGridMinimize:
         with pytest.raises(NonFiniteEnergy) as exc:
             _scalar(profile, 0.0)
         assert str(exc.value) == "energy is inf at angle 0.0"
+
+    @pytest.mark.parametrize("make", [shear_stretch_profile, cofactor_shear_profile])
+    def test_overflowing_grid_is_non_finite(self, make):
+        # the messages were recorded before the array route formed R^T F in place
+        for scale, w, value in ((1e154, LIMIT, "inf"), (1e155, LIMIT, "nan"),
+                                (1e155, Weights(1.2, 0.1), "inf")):
+            f = Mat2(1.4 * scale, 0.2 * scale, -0.3 * scale, 0.9 * scale)
+            for grid_n, angle in ((720, "-3.1328660073298216"), (20000, "-3.141278494324434")):
+                with pytest.raises(NonFiniteEnergy) as exc:
+                    grid_minimize(make(f, w), grid_n, vectorized=True)
+                assert str(exc.value) == f"energy is {value} at angle {angle}"
 
     def test_large_grids_evaluated_in_blocks(self):
         profile = shear_stretch_profile(Mat2(1.4, 0.2, -0.3, 0.9), Weights(1.2, 0.1))
@@ -482,6 +494,7 @@ SINGLE_ANGLE_PROFILES = {
     "shear_stretch": shear_stretch_profile,
     "cofactor_shear": cofactor_shear_profile,
     "signed_defect": lambda f, w: signed_defect_profile(f),
+    "log_strain": log_strain_profile,
 }
 
 
@@ -500,11 +513,14 @@ def _oracle_cases(rng, count):
 
 
 class TestFloatRoute:
-    """A single Python float runs the profiles on floats, with the bits of a 0-d array.
+    """A single angle runs the profiles on floats, whatever its type.
 
-    Both square with ** through C pow; an array of angles squares by
-    multiplication, which rounds differently on a few inputs, so the float
-    route is held to a few ulps of the array route, not to its bits.
+    A Python float, a numpy scalar and a 0-d array take the same float
+    formulas and give the same bits. The shear-stretch and cofactor profiles
+    square a float with ** through C pow, and an array of angles by
+    multiplication, which rounds differently on a few inputs, so their float
+    route is held to a few ulps of the array route, not to its bits. The
+    log-strain profile squares by products on both routes and keeps the bits.
     """
 
     @pytest.mark.parametrize("name", sorted(SINGLE_ANGLE_PROFILES))
@@ -521,6 +537,56 @@ class TestFloatRoute:
                 value = profile(a)
                 assert type(value) is float
                 assert value.hex() == float(profile(np.asarray(a))).hex()
+                assert value.hex() == float(profile(np.float64(a))).hex()
+
+    def test_log_float_route_has_the_array_bits(self, monkeypatch):
+        # every eigenvalue case, the sentinel at the polar angle + pi and an
+        # overflowing discriminant, each against a one-angle array and a grid
+        hits = dict.fromkeys(["_log_complex", "_log_distinct", "_log_coincident"], 0)
+        for name in hits:
+            def counted(t, disc, d, sqrt, _case=getattr(energy, name), _name=name):
+                hits[_name] += sqrt is math.sqrt  # a float-route call
+                return _case(t, disc, d, sqrt)
+            monkeypatch.setattr(energy, name, counted)
+        rng = np.random.default_rng(20261020)
+        sentinels = 0
+        for k, (f, w) in enumerate(_oracle_cases(rng, 120)):
+            beta = rng.uniform(-math.pi, math.pi)
+            lam = 10.0 ** rng.uniform(-3.0, 3.0)
+            alpha_p = polar_angle(f)
+            cases = [
+                (f, [alpha_p, normalize_angle(alpha_p + math.pi),
+                     *rng.uniform(-math.pi, math.pi, 6).tolist()]),
+                # R(beta)^T F is lam * 1 or a Jordan block, up to rounding
+                (lam * rotation(beta), [beta]),
+                (rotation(beta) @ Mat2(lam, rng.uniform(-1.0, 1.0), 0.0, lam), [beta]),
+                # tr^2 overflows at every angle, and det F too on odd k
+                (Mat2.diagonal(1e160 * lam, (1e160 if k % 2 else 1e-160) / lam),
+                 rng.uniform(-math.pi, math.pi, 2).tolist()),
+            ]
+            for g, angles in cases:
+                profile = log_strain_profile(g, w)
+                grid = profile(np.array(angles))
+                for a, from_grid in zip(angles, grid.tolist()):
+                    value = profile(a)
+                    assert value.hex() == float(profile(np.array([a]))[0]).hex()
+                    assert value.hex() == from_grid.hex()
+                    sentinels += value == UNDEFINED_LOG_ENERGY
+        assert min(hits.values()) >= 200 and sentinels >= 400
+
+    @pytest.mark.parametrize("name", sorted(SINGLE_ANGLE_PROFILES))
+    def test_non_finite_angle(self, name):
+        # NaN as on a 0-d array, whose cos and sin are NaN; the log's sentinel
+        profile = SINGLE_ANGLE_PROFILES[name](Mat2(1.4, 0.2, -0.3, 0.9), Weights(1.2, 0.1))
+        for a in (math.inf, -math.inf, math.nan):
+            value = profile(a)
+            assert type(value) is float
+            with np.errstate(invalid="ignore"):
+                expected = [float(profile(np.asarray(a))), *profile(np.array([a, 0.5]))[:1]]
+            if name == "log_strain":
+                assert [value, *expected] == [UNDEFINED_LOG_ENERGY] * 3
+            else:
+                assert all(math.isnan(v) for v in (value, *expected))
 
     @pytest.mark.parametrize("name", ["shear_stretch", "cofactor_shear"])
     def test_float_route_within_ulps_of_array_route(self, name):
@@ -580,7 +646,7 @@ class TestNearCells:
 
     @pytest.mark.parametrize("name", ["shear_stretch", "cofactor_shear", "log_strain"])
     def test_profiles(self, name):
-        make = {**SINGLE_ANGLE_PROFILES, "log_strain": log_strain_profile}[name]
+        make = SINGLE_ANGLE_PROFILES[name]
         rng = np.random.default_rng(923)
         for f, w in _oracle_cases(rng, 50):
             profile = make(f, w)
