@@ -49,7 +49,9 @@ _BRANCH_PITCHFORK = Branch.PITCHFORK
 
 
 def _sym_skew_energy(x11, x12, x21, x22, mu: float, muc: float, shift: float = 1.0):
-    # mu * ||sym(X - shift*1)||^2 + muc * ||skew(X - shift*1)||^2, on floats or arrays
+    # mu * ||sym(X - shift*1)||^2 + muc * ||skew(X - shift*1)||^2 on floats. Its
+    # ** squares through C pow, and the golden bits of the float routes depend on
+    # that; arrays and the log's float route use _sym_skew_by_products instead.
     sym_sq = (x11 - shift) ** 2 + (x22 - shift) ** 2 + 0.5 * (x12 + x21) ** 2
     skew_sq = 0.5 * (x12 - x21) ** 2
     return mu * sym_sq + muc * skew_sq
@@ -78,8 +80,23 @@ def _sym_skew_by_products(x11, x12, x21, x22, mu: float, muc: float, shift: floa
 
 
 def _microstretch(c, s, e11: float, e12: float, e21: float, e22: float):
-    # entries of R(alpha)^T F from c = cos(alpha), s = sin(alpha), on floats or arrays
-    return c * e11 + s * e21, c * e12 + s * e22, -s * e11 + c * e21, -s * e12 + c * e22
+    # entries of R(alpha)^T F from c = cos(alpha), s = sin(alpha), on floats or
+    # arrays: an array sum is formed in place, a float one just rebinds. The
+    # lower row, c*e21 - s*e11, has the bits of -s*e11 + c*e21 (addition
+    # commutes, negation is exact), signed zeros included. The array route
+    # keeps four one-row arrays: one stacked (4, n) array is 128 KiB at n = 4096,
+    # glibc's mmap threshold, and freeing it per block made the heap trim and
+    # fault its pages in again (3.5 to 10.5 minor faults per benchmark certify
+    # operation, against 0.2 with one-row arrays).
+    x11 = c * e11
+    x11 += s * e21
+    x12 = c * e12
+    x12 += s * e22
+    x21 = c * e21
+    x21 -= s * e11
+    x22 = c * e22
+    x22 -= s * e12
+    return x11, x12, x21, x22
 
 
 def _energy_at(alpha: float, e11: float, e12: float, e21: float, e22: float,
@@ -412,8 +429,8 @@ def log_strain_energy(r: Mat2, f: Mat2, w: Weights) -> float:
 # cos and sin for a Python float. A numpy scalar or a 0-d array takes the same
 # formulas, on numpy's cos and sin, which return math's bits, in the two energy
 # profiles, and as a Python float in the log-strain one. An array of angles
-# takes the array route: R^T F from _microstretch_in_place, then the sym/skew
-# sums in place by _sym_skew_by_products.
+# takes the array route: R^T F from the same _microstretch, its sums formed in
+# place, then the sym/skew sums in place by _sym_skew_by_products.
 #
 # The log-strain profile squares by products on both routes, so its two routes
 # agree bit for bit; only the choice of eigenvalue case differs (one if chain,
@@ -443,24 +460,6 @@ def _cos_sin(alpha):
     return np.cos(a), np.sin(a)
 
 
-def _microstretch_in_place(c, s, e11: float, e12: float, e21: float, e22: float):
-    # _microstretch on arrays, each sum formed in place. The entries have its
-    # bits: c*e21 - s*e11 is -s*e11 + c*e21 with the terms swapped (addition
-    # commutes, negation is exact). They stay four arrays: one stacked (4, n)
-    # array is 128 KiB at n = 4096, glibc's mmap threshold, and freeing it per
-    # block made the heap trim and fault its pages in again (3.5 to 10.5 minor
-    # faults per benchmark certify operation, against 0.2 with one-row arrays).
-    x11 = c * e11
-    x11 += s * e21
-    x12 = c * e12
-    x12 += s * e22
-    x21 = c * e21
-    x21 -= s * e11
-    x22 = c * e22
-    x22 -= s * e12
-    return x11, x12, x21, x22
-
-
 def shear_stretch_profile(f: Mat2, w: Weights) -> Profile:
     """alpha -> shear_stretch_energy(R(alpha), f, w); float -> float, array -> array."""
     require_gl_plus(f)
@@ -471,7 +470,7 @@ def shear_stretch_profile(f: Mat2, w: Weights) -> Profile:
             c, s = _cos_sin(alpha)
             x11, x12, x21, x22 = _microstretch(c, s, e11, e12, e21, e22)
             return _sym_skew_energy(x11, x12, x21, x22, mu, muc)
-        x = _microstretch_in_place(*_cos_sin(alpha), e11, e12, e21, e22)
+        x = _microstretch(*_cos_sin(alpha), e11, e12, e21, e22)
         return _sym_skew_by_products(*x, mu, muc, 1.0)
 
     return profile
@@ -487,7 +486,7 @@ def cofactor_shear_profile(f: Mat2, w: Weights) -> Profile:
             c, s = _cos_sin(alpha)
             x11, x12, x21, x22 = _microstretch(c, s, e11, e12, e21, e22)
             return _sym_skew_energy(x22, -x12, -x21, x11, mu, muc)
-        x11, x12, x21, x22 = _microstretch_in_place(*_cos_sin(alpha), e11, e12, e21, e22)
+        x11, x12, x21, x22 = _microstretch(*_cos_sin(alpha), e11, e12, e21, e22)
         return _sym_skew_by_products(x22, -x12, -x21, x11, mu, muc, 1.0)
 
     return profile
@@ -518,7 +517,7 @@ def log_strain_profile(f: Mat2, w: Weights) -> Profile:
         # numpy's warnings about large entries or infinite angles are not shown,
         # and no value changes; a call may run outside the oracle's errstate
         with np.errstate(all="ignore"):
-            x11, x12, x21, x22 = _microstretch_in_place(*_cos_sin(alpha), e11, e12, e21, e22)
+            x11, x12, x21, x22 = _microstretch(*_cos_sin(alpha), e11, e12, e21, e22)
             out = np.full(x11.shape, UNDEFINED_LOG_ENERGY)
             for m, l11, l12, l21, l22 in _log_cases(x11, x12, x21, x22, d):
                 out[m] = _sym_skew_by_products(l11, l12, l21, l22, mu, muc, 0.0)
