@@ -5,8 +5,9 @@ microstrain R^T F - 1 by mu and muc. Algebraically equivalent forms
 (expanded trace polynomial, trace-only form plus a rotation-independent
 constant, rescaled form) are kept because their mutual agreement is part
 of the verification contract, with the reduced (minimized-over-rotations)
-energies and two variants built on the cofactor map and the principal
-matrix logarithm. All identities are expressed through t = tr(R^T F);
+energies and a variant built on the principal matrix logarithm. The
+cofactor variant is the shear-stretch energy of cof F and has no formula
+of its own. All identities are expressed through t = tr(R^T F);
 dimension-specific constants use ||identity||^2 = 2.
 
 It also holds the unvalidated float cores that minimizers and shear share:
@@ -28,6 +29,7 @@ from .planar import (
     TraceInvariants,
     _polar_angle,
     _transpose_times,
+    cofactor_transform,
     normalize_angle,
     require_gl_plus,
     require_rotation,
@@ -291,19 +293,6 @@ def reduced_energy_sv(pair: SingularPair | tuple[float, float]) -> float:
     return 0.5 * (s1 - s2) ** 2
 
 
-def cofactor_energy(r: Mat2, f: Mat2, w: Weights) -> float:
-    """Shear-stretch energy of the cofactor of the microstretch.
-
-    Evaluates the sym/skew weights on cof(R^T F) - 1 directly. Equal to
-    shear_stretch_energy(r, cofactor_transform(f), w), since in 2D the
-    cofactor of R^T F is the transpose of R^T applied to the transformed
-    gradient and the sym/skew norms are transpose-invariant.
-    """
-    x11, x12, x21, x22 = _checked_microstretch(r, f)
-    # cofactor (adjugate) of X: (x22, -x12; -x21, x11)
-    return _sym_skew_energy(x22, -x12, -x21, x11, w.mu, w.muc)
-
-
 _LOG_BRANCH_TOL = 1e-14
 
 
@@ -427,20 +416,21 @@ def log_strain_energy(r: Mat2, f: Mat2, w: Weights) -> float:
 # A single angle (Brent refinement, the parabolic polish and bisection) takes
 # the float route: _microstretch and the sym/skew form on floats, with math's
 # cos and sin for a Python float. A numpy scalar or a 0-d array takes the same
-# formulas, on numpy's cos and sin, which return math's bits, in the two energy
-# profiles, and as a Python float in the log-strain one. An array of angles
+# formulas, on numpy's cos and sin, which return math's bits, in the shear-stretch
+# profile, and as a Python float in the log-strain one. An array of angles
 # takes the array route: R^T F from the same _microstretch, its sums formed in
 # place, then the sym/skew sums in place by _sym_skew_by_products.
 #
 # The log-strain profile squares by products on both routes, so its two routes
 # agree bit for bit; only the choice of eigenvalue case differs (one if chain,
-# or masks). The other two square a float with ** through C pow, which rounds
-# differently from a product on a few inputs, so their float and array routes
-# differ in the last bits of under 0.1% of values (at most 3 ulps over 600,000
-# seeded ones), far below the oracle's value tolerance. A square that overflows
-# raises OverflowError on the float route where numpy returns inf; the oracle
-# reports both as NonFiniteEnergy. An infinite angle gives NaN on both routes,
-# or the log's sentinel.
+# or masks). The shear-stretch profile squares a float with ** through C pow,
+# which rounds differently from a product on a few inputs, so its float and
+# array routes differ in the last bits of under 0.1% of values (at most 3 ulps
+# over 600,000 seeded ones), far below the oracle's value tolerance. A square
+# that overflows raises OverflowError on the float route where numpy returns
+# inf; the oracle reports both as NonFiniteEnergy. An infinite angle gives NaN
+# on both routes, or the log's sentinel. The cofactor profile is the
+# shear-stretch profile of cof F, with its routes and their bits.
 # ---------------------------------------------------------------------------
 
 #: A profile maps a float angle to a float energy, and an array of angles
@@ -477,19 +467,8 @@ def shear_stretch_profile(f: Mat2, w: Weights) -> Profile:
 
 
 def cofactor_shear_profile(f: Mat2, w: Weights) -> Profile:
-    """alpha -> cofactor_energy(R(alpha), f, w); float -> float, array -> array."""
-    require_gl_plus(f)
-    (e11, e12, e21, e22), mu, muc = f.entries(), w.mu, w.muc
-
-    def profile(alpha):
-        if type(alpha) is float or not np.ndim(alpha):
-            c, s = _cos_sin(alpha)
-            x11, x12, x21, x22 = _microstretch(c, s, e11, e12, e21, e22)
-            return _sym_skew_energy(x22, -x12, -x21, x11, mu, muc)
-        x11, x12, x21, x22 = _microstretch(*_cos_sin(alpha), e11, e12, e21, e22)
-        return _sym_skew_by_products(x22, -x12, -x21, x11, mu, muc, 1.0)
-
-    return profile
+    """The shear-stretch profile of cofactor_transform(f), for the paper's cofactor remark."""
+    return shear_stretch_profile(cofactor_transform(f), w)
 
 
 #: Value log_strain_profile reports where the principal logarithm is undefined.

@@ -274,7 +274,9 @@ def cofactor_transform(f: Mat2) -> Mat2:
     """The transposed-cofactor map F -> det(F) * F^{-T}.
 
     An involution on GL+(2) that swaps the singular values' roles while
-    preserving both the determinant and the stretch trace.
+    preserving both the determinant and the stretch trace. It also keeps
+    the polar factor, so in 2D the optimal rotations of cof F are those
+    of F.
     """
     require_gl_plus(f)
     return Mat2(f.e22, -f.e21, -f.e12, f.e11)

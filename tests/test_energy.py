@@ -13,8 +13,6 @@ from cosserat2d import (
     Mat2,
     NonPositiveSingularValue,
     Weights,
-    cofactor_energy,
-    cofactor_transform,
     constants_chain,
     critical_energy_levels,
     energy_expanded,
@@ -102,8 +100,6 @@ class TestShearStretchEnergy:
              lambda x, f, w: _sym_skew_energy(x.e11, x.e12, x.e21, x.e22, w.mu, w.muc)),
             (energy_expanded, expanded),
             (lambda r, f, w: ring_energy(r, f), ring),
-            (cofactor_energy,
-             lambda x, f, w: _sym_skew_energy(x.e22, -x.e12, -x.e21, x.e11, w.mu, w.muc)),
             (log_strain_energy, log_strain),
         ]
 
@@ -135,7 +131,7 @@ class TestShearStretchEnergy:
         x21 = r.e12 * f.e11 + r.e22 * f.e21
         defect = abs(signed_defect_profile(f)(math.pi / 4.0))
         assert defect == abs(0.5 * (x12 - x21)) == pytest.approx(3.5e299, rel=0.02)
-        for energy in (shear_stretch_energy, energy_expanded, cofactor_energy, log_strain_energy):
+        for energy in (shear_stretch_energy, energy_expanded, log_strain_energy):
             with pytest.raises(OverflowError):
                 energy(r, f, w)
         with pytest.raises(OverflowError):
@@ -393,25 +389,6 @@ class TestReducedEnergySingularValues:
             reduced_energy_sv((-1.0, 2.0))
 
 
-class TestCofactorEnergy:
-    def test_trivial(self):
-        assert cofactor_energy(Mat2.identity(), Mat2.identity(), LIMIT) == 0.0
-
-    def test_matches_transformed_gradient(self):
-        value = cofactor_energy(Mat2.identity(), Mat2.diagonal(2.0, 3.0), LIMIT)
-        expected = shear_stretch_energy(Mat2.identity(), Mat2.diagonal(3.0, 2.0), LIMIT)
-        assert value == pytest.approx(expected, abs=1e-12)
-
-    def test_equality_with_transform_randomized(self):
-        for _ in range(300):
-            f = random_gl_plus(RNG)
-            r = random_rotation(RNG)
-            w = random_weights(RNG)
-            assert cofactor_energy(r, f, w) == pytest.approx(
-                shear_stretch_energy(r, cofactor_transform(f), w), abs=1e-12, rel=1e-12
-            )
-
-
 class TestMatrixLog:
     def test_distinct_real_eigenvalues(self):
         x = Mat2(2.0, 1.0, 0.5, 1.0)
@@ -529,7 +506,11 @@ class TestLogStrainEnergy:
             except LogUndefined:
                 continue
             assert profile(a) == pytest.approx(expected, rel=1e-10, abs=1e-12)
-            lg = np.real(logm((rotation(a).transpose() @ f).as_array()))
+            with warnings.catch_warnings():
+                # scipy warns from an estimated error of 1000 eps on; near the
+                # negative axis it reached 1.5e-12, far inside the comparison below
+                warnings.filterwarnings("ignore", "logm result may be inaccurate", RuntimeWarning)
+                lg = np.real(logm((rotation(a).transpose() @ f).as_array()))
             sym, skew = 0.5 * (lg + lg.T), 0.5 * (lg - lg.T)
             reference = w.mu * np.sum(sym**2) + w.muc * np.sum(skew**2)
             assert profile(a) == pytest.approx(reference, rel=1e-9, abs=1e-12)

@@ -17,6 +17,7 @@ from cosserat2d import (
     TraceInvariants,
     Weights,
     circular_distance,
+    cofactor_shear_profile,
     cofactor_transform,
     critical_energy_levels,
     critical_set,
@@ -27,6 +28,7 @@ from cosserat2d import (
     reduced_energy,
     require_rotation,
     rotation,
+    shear_stretch_profile,
     singular_values,
     trace_invariants,
 )
@@ -313,6 +315,42 @@ class TestCofactorTransform:
     def test_rejects_non_gl_plus(self):
         with pytest.raises(NonPositiveDeterminant):
             cofactor_transform(Mat2.diagonal(-1.0, 1.0))
+
+    def test_keeps_polar_factor_and_stretch_trace(self):
+        # tr F and tr JF of cof F are those of F, formed exactly, so the polar
+        # angle keeps its bits; ||F||^2 is summed in another order, so tr U may
+        # move by an ulp or two (2 at most over 20,000 draws)
+        rng = np.random.default_rng(20261019)
+        for k in range(2000):
+            f = random_gl_plus(rng)
+            if k % 3 == 1:
+                f = 10.0 ** rng.uniform(-150.0, 150.0) * f
+            tau = cofactor_transform(f)
+            assert polar_angle(tau) == polar_angle(f)
+            tr_u = trace_invariants(f).tr_u
+            assert abs(trace_invariants(tau).tr_u - tr_u) <= 2.0 * math.ulp(tr_u)
+            w = random_nonclassical_weights(rng) if k % 2 else random_classical_weights(rng)
+            got, expected = optimal_set(tau, w), optimal_set(f, w)
+            assert got.branch == expected.branch
+            assert len(got.angles) == len(expected.angles)
+            for a, b in zip(got.angles, expected.angles):
+                assert circular_distance(a, b) <= 1e-13
+
+    @pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])
+    def test_cofactor_profile_is_the_shear_stretch_profile(self, scale):
+        # The adjugate of X = R^T F has the sym and skew norms of X, so the
+        # cofactor profile of F is its shear-stretch profile, bit for bit. A
+        # cofactor formula that does not reduce to the same arithmetic must
+        # change this test.
+        rng = np.random.default_rng([20261019, int(math.log10(scale)) + 100])
+        grid = np.linspace(-math.pi, math.pi, 721)
+        for k in range(100):
+            f = scale * random_gl_plus(rng)
+            w = random_nonclassical_weights(rng) if k % 2 else random_classical_weights(rng)
+            cofactor, shear_stretch = cofactor_shear_profile(f, w), shear_stretch_profile(f, w)
+            assert cofactor(grid).tobytes() == shear_stretch(grid).tobytes()
+            for a in (0.0, -0.0, math.pi, polar_angle(f), *rng.uniform(-math.pi, math.pi, 4)):
+                assert cofactor(float(a)).hex() == shear_stretch(float(a)).hex()
 
 
 class TestRelativeAngle:
