@@ -7,8 +7,10 @@ constant, rescaled form) are kept because their mutual agreement is part
 of the verification contract, with the reduced (minimized-over-rotations)
 energies and a variant built on the principal matrix logarithm. The
 cofactor variant is the shear-stretch energy of cof F and has no formula
-of its own. All identities are expressed through t = tr(R^T F);
-dimension-specific constants use ||identity||^2 = 2.
+of its own. The sym/skew norm itself is written once, squaring by products,
+for the checked energies, the profiles and the log. All identities are
+expressed through t = tr(R^T F); dimension-specific constants use
+||identity||^2 = 2.
 
 It also holds the unvalidated float cores that minimizers and shear share:
 microstretch, energy at an angle, critical levels, pitchfork, optimal angles.
@@ -50,19 +52,12 @@ _BRANCH_CLASSICAL = Branch.CLASSICAL
 _BRANCH_PITCHFORK = Branch.PITCHFORK
 
 
-def _sym_skew_energy(x11, x12, x21, x22, mu: float, muc: float, shift: float = 1.0):
-    # mu * ||sym(X - shift*1)||^2 + muc * ||skew(X - shift*1)||^2 on floats. Its
-    # ** squares through C pow, and the golden bits of the float routes depend on
-    # that; arrays and the log's float route use _sym_skew_by_products instead.
-    sym_sq = (x11 - shift) ** 2 + (x22 - shift) ** 2 + 0.5 * (x12 + x21) ** 2
-    skew_sq = 0.5 * (x12 - x21) ** 2
-    return mu * sym_sq + muc * skew_sq
-
-
-def _sym_skew_by_products(x11, x12, x21, x22, mu: float, muc: float, shift: float):
-    # _sym_skew_energy with every square a product, on floats or arrays; array
-    # arguments are overwritten. numpy squares an array by multiplication, so
-    # arrays get _sym_skew_energy's bits, while ** squares a float through C pow.
+def _sym_skew_energy(x11, x12, x21, x22, mu: float, muc: float, shift: float):
+    # mu * ||sym(X - shift*1)||^2 + muc * ||skew(X - shift*1)||^2, on floats or
+    # arrays; array arguments are overwritten. Every square is a product, which
+    # rounds like numpy's elementwise product, so a float and an array of the
+    # same entries get the same bits; a square beyond the floating-point range
+    # is inf, on floats as on arrays.
     x11 -= shift
     x22 -= shift
     skew_sq = x12 - x21
@@ -105,23 +100,30 @@ def _energy_at(alpha: float, e11: float, e12: float, e21: float, e22: float,
                mu: float, muc: float) -> float:
     # shear_stretch_energy(rotation(alpha), F, (mu, muc)), unvalidated
     x11, x12, x21, x22 = _microstretch(math.cos(alpha), math.sin(alpha), e11, e12, e21, e22)
-    return _sym_skew_energy(x11, x12, x21, x22, mu, muc)
+    return _sym_skew_energy(x11, x12, x21, x22, mu, muc, 1.0)
 
 
 def _checked_microstretch(r: Mat2, f: Mat2) -> tuple[float, float, float, float]:
-    # the entries of R^T F, after checking R in SO(2) and F in GL+(2)
+    # the entries of R^T F, after checking R in SO(2) and F in GL+(2); raises
+    # OverflowError where an entry is beyond the floating-point range
     require_rotation(r)
     require_gl_plus(f)
-    return _transpose_times(r, f)
+    x = _transpose_times(r, f)
+    if not all(map(math.isfinite, x)):
+        raise OverflowError(f"R^T F has an entry beyond the floating-point range: {x!r}")
+    return x
 
 
 def shear_stretch_energy(r: Mat2, f: Mat2, w: Weights) -> float:
     """mu*||sym(R^T F - 1)||^2 + muc*||skew(R^T F - 1)||^2.
 
     Nonnegative; vanishes exactly when the microstrain is zero (muc > 0)
-    or when its symmetric part is zero (muc = 0).
+    or when its symmetric part is zero (muc = 0). Raises OverflowError when
+    an entry of R^T F is beyond the floating-point range, and returns inf
+    when R^T F is finite but the energy overflows.
     """
-    return _sym_skew_energy(*_checked_microstretch(r, f), w.mu, w.muc)
+    x11, x12, x21, x22 = _checked_microstretch(r, f)
+    return _sym_skew_energy(x11, x12, x21, x22, w.mu, w.muc, 1.0)
 
 
 def energy_expanded(r: Mat2, f: Mat2, w: Weights) -> float:
@@ -400,37 +402,26 @@ def log_strain_energy(r: Mat2, f: Mat2, w: Weights) -> float:
     Defined only where the principal logarithm of R^T F exists. Raises
     OverflowError when an entry of R^T F is beyond the floating-point range.
     """
-    x = _checked_microstretch(r, f)
-    if not all(map(math.isfinite, x)):
-        raise OverflowError(f"R^T F has an entry beyond the floating-point range: {x!r}")
-    lg = matrix_log_2x2(Mat2(*x))
-    return _sym_skew_energy(lg.e11, lg.e12, lg.e21, lg.e22, w.mu, w.muc, shift=0.0)
+    lg = matrix_log_2x2(Mat2(*_checked_microstretch(r, f)))
+    return _sym_skew_energy(lg.e11, lg.e12, lg.e21, lg.e22, w.mu, w.muc, 0.0)
 
 
 # ---------------------------------------------------------------------------
 # Single-angle profiles for the brute-force grid. They evaluate the defining
 # sym/skew forms entrywise, never the trace shortcuts used by the closed-form
-# minimizers, so grid certification stays an independent route. Each profile
-# has two routes.
+# minimizers, so grid certification stays an independent route.
 #
-# A single angle (Brent refinement, the parabolic polish and bisection) takes
-# the float route: _microstretch and the sym/skew form on floats, with math's
-# cos and sin for a Python float. A numpy scalar or a 0-d array takes the same
-# formulas, on numpy's cos and sin, which return math's bits, in the shear-stretch
-# profile, and as a Python float in the log-strain one. An array of angles
-# takes the array route: R^T F from the same _microstretch, its sums formed in
-# place, then the sym/skew sums in place by _sym_skew_by_products.
-#
-# The log-strain profile squares by products on both routes, so its two routes
-# agree bit for bit; only the choice of eigenvalue case differs (one if chain,
-# or masks). The shear-stretch profile squares a float with ** through C pow,
-# which rounds differently from a product on a few inputs, so its float and
-# array routes differ in the last bits of under 0.1% of values (at most 3 ulps
-# over 600,000 seeded ones), far below the oracle's value tolerance. A square
-# that overflows raises OverflowError on the float route where numpy returns
-# inf; the oracle reports both as NonFiniteEnergy. An infinite angle gives NaN
-# on both routes, or the log's sentinel. The cofactor profile is the
-# shear-stretch profile of cof F, with its routes and their bits.
+# The shear-stretch profile has one body for a single angle (Brent refinement,
+# the parabolic polish and bisection) and for an array of angles: cos and sin,
+# math's for a Python float and numpy's otherwise, which give math's bits; R^T F
+# from _microstretch; then _sym_skew_energy. On an array, both form their sums
+# in place. Each step is one correctly rounded product, sum or difference, so a
+# single angle gets the bits it has in an array, and a square beyond the
+# floating-point range is inf on both; the oracle reports it as NonFiniteEnergy.
+# The log-strain profile picks its eigenvalue case by one if chain for a single
+# angle, which it returns as a Python float, and by masks for an array, with the
+# same formulas and bits. An infinite angle gives NaN, or the log's sentinel.
+# The cofactor profile is the shear-stretch profile of cof F, with its bits.
 # ---------------------------------------------------------------------------
 
 #: A profile maps a float angle to a float energy, and an array of angles
@@ -456,12 +447,9 @@ def shear_stretch_profile(f: Mat2, w: Weights) -> Profile:
     (e11, e12, e21, e22), mu, muc = f.entries(), w.mu, w.muc
 
     def profile(alpha):
-        if type(alpha) is float or not np.ndim(alpha):
-            c, s = _cos_sin(alpha)
-            x11, x12, x21, x22 = _microstretch(c, s, e11, e12, e21, e22)
-            return _sym_skew_energy(x11, x12, x21, x22, mu, muc)
-        x = _microstretch(*_cos_sin(alpha), e11, e12, e21, e22)
-        return _sym_skew_by_products(*x, mu, muc, 1.0)
+        c, s = _cos_sin(alpha)
+        x11, x12, x21, x22 = _microstretch(c, s, e11, e12, e21, e22)
+        return _sym_skew_energy(x11, x12, x21, x22, mu, muc, 1.0)
 
     return profile
 
@@ -492,14 +480,14 @@ def log_strain_profile(f: Mat2, w: Weights) -> Profile:
             lg = _log_at(*_microstretch(c, s, e11, e12, e21, e22), d)
             if lg is None:
                 return UNDEFINED_LOG_ENERGY
-            return _sym_skew_by_products(*lg, mu, muc, 0.0)
+            return _sym_skew_energy(*lg, mu, muc, 0.0)
         # numpy's warnings about large entries or infinite angles are not shown,
         # and no value changes; a call may run outside the oracle's errstate
         with np.errstate(all="ignore"):
             x11, x12, x21, x22 = _microstretch(*_cos_sin(alpha), e11, e12, e21, e22)
             out = np.full(x11.shape, UNDEFINED_LOG_ENERGY)
             for m, l11, l12, l21, l22 in _log_cases(x11, x12, x21, x22, d):
-                out[m] = _sym_skew_by_products(l11, l12, l21, l22, mu, muc, 0.0)
+                out[m] = _sym_skew_energy(l11, l12, l21, l22, mu, muc, 0.0)
         return out
 
     return profile

@@ -364,10 +364,14 @@ def _shear_levels(rng, i, grid_n):
 
 @_property("shear_arctan_identity", 1e-12, cap=1)
 def _arctan_identity(rng, i, grid_n):
-    return _worst(
-        abs(math.atan(g / 2.0) - math.copysign(math.acos(2.0 / math.sqrt(4.0 + g * g)), g))
-        for g in np.arange(-10.0, 10.0 + 1e-9, 1e-2)
-    )
+    # shear_solution against alpha_p = -atan(gamma / 2) and the pair {0, 2 alpha_p}
+    residuals = []
+    for g in np.arange(-10.0, 10.0 + 1e-9, 1e-2).tolist():
+        sol = shear.shear_solution(g)
+        alpha_p = -math.atan(g / 2.0)
+        residuals += (bruteforce.angle_set_distance(sol.angles, (0.0, 2.0 * alpha_p)),
+                      abs(sol.alpha_p - alpha_p))
+    return _worst(residuals)
 
 
 @_property("oracle_self_consistency", 1e-8, cap=20)

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,7 +36,9 @@ from cosserat2d import (
 from cosserat2d.energy import (
     UNDEFINED_LOG_ENERGY,
     EnergyLevels,
+    _energy_at,
     _log_cases,
+    _microstretch,
     _sym_skew_energy,
 )
 from cosserat2d.planar import ROTATION_TOL
@@ -48,7 +51,6 @@ from cosserat2d.shear import simple_shear
 from cosserat2d.weights import reduction_data
 from record_checks import check_record
 
-RNG = np.random.default_rng(20260811)
 LIMIT = Weights(1.0, 0.0)
 
 
@@ -97,7 +99,7 @@ class TestShearStretchEnergy:
 
         routes = [
             (shear_stretch_energy,
-             lambda x, f, w: _sym_skew_energy(x.e11, x.e12, x.e21, x.e22, w.mu, w.muc)),
+             lambda x, f, w: _sym_skew_energy(x.e11, x.e12, x.e21, x.e22, w.mu, w.muc, 1.0)),
             (energy_expanded, expanded),
             (lambda r, f, w: ring_energy(r, f), ring),
             (log_strain_energy, log_strain),
@@ -124,18 +126,51 @@ class TestShearStretchEnergy:
                         assert outcome(checked, r, g, w) == outcome(formula, x, g, w)
 
     def test_overflowing_microstretch_in_every_checked_function(self):
-        # R^T F = (inf, 7.1e299; 2.0e292, 7.1e299): the energies square an entry
-        # beyond the floating-point range, while the skew entry is finite
+        # R^T F = (inf, 7.1e299; 2.0e292, 7.1e299) has an entry beyond the
+        # floating-point range, while the skew entry is finite; every checked
+        # energy raises from the one check of R^T F
         r, f, w = rotation(math.pi / 4.0), Mat2(1.5e308, 1.0, 1.5e308, 1e300), Weights(1.0, 0.5)
         x12 = r.e11 * f.e12 + r.e21 * f.e22
         x21 = r.e12 * f.e11 + r.e22 * f.e21
         defect = abs(signed_defect_profile(f)(math.pi / 4.0))
         assert defect == abs(0.5 * (x12 - x21)) == pytest.approx(3.5e299, rel=0.02)
-        for energy in (shear_stretch_energy, energy_expanded, log_strain_energy):
-            with pytest.raises(OverflowError):
+        for energy in (shear_stretch_energy, energy_expanded,
+                       lambda r, f, w: ring_energy(r, f), log_strain_energy):
+            with pytest.raises(OverflowError, match=r"^R\^T F has an entry beyond"):
                 energy(r, f, w)
-        with pytest.raises(OverflowError):
-            ring_energy(r, f)
+
+    @pytest.mark.parametrize("f, w", [
+        (Mat2.diagonal(1e155, 1.0), Weights(1.0, 0.5)),  # (x11 - 1)^2 overflows
+        (Mat2.diagonal(3.0, 1.0), Weights(1e308, 0.0)),  # mu * 4 overflows
+    ])
+    def test_overflowing_energy_is_inf_on_every_route(self, f, w):
+        # R^T F is finite at angle 0, so nothing raises: the energy is inf
+        profile = shear_stretch_profile(f, w)
+        assert shear_stretch_energy(rotation(0.0), f, w) == math.inf
+        assert _energy_at(0.0, *f.entries(), w.mu, w.muc) == math.inf
+        assert profile(0.0) == math.inf
+        with np.errstate(over="ignore"):
+            assert profile(np.float64(0.0)) == math.inf
+            assert profile(np.zeros(3)).tolist() == [math.inf] * 3
+
+    def test_norm_within_ulps_of_exact_value(self):
+        # The norm of float entries against its exact rational value. Its seven
+        # roundings act on nonnegative terms, so the error is at most 7u|W| to
+        # first order (u = 2^-53), 7 ulps; these 20,000 draws reach 3.21 ulps.
+        def exact(x11, x12, x21, x22, mu, muc):
+            x11, x12, x21, x22, mu, muc = map(Fraction, (x11, x12, x21, x22, mu, muc))
+            sym_sq = (x11 - 1) ** 2 + (x22 - 1) ** 2 + (x12 + x21) ** 2 / 2
+            return mu * sym_sq + muc * (x12 - x21) ** 2 / 2
+
+        rng = np.random.default_rng([20260811, 20])
+        worst = 0.0
+        for _ in range(20000):
+            a = rng.uniform(-math.pi, math.pi)
+            f, w = random_gl_plus(rng), random_weights(rng)
+            x = _microstretch(math.cos(a), math.sin(a), *f.entries())
+            value, expected = _sym_skew_energy(*x, w.mu, w.muc, 1.0), exact(*x, w.mu, w.muc)
+            worst = max(worst, abs(Fraction(value) - expected) / Fraction(math.ulp(expected)))
+        assert worst <= 3.5
 
     def test_overflowing_microstretch_raises_overflow(self):
         # R^T F has an infinite entry; its square is out of the floating-point range
@@ -144,27 +179,30 @@ class TestShearStretchEnergy:
             shear_stretch_energy(rotation(math.pi / 4.0), f, Weights(1.0, 0.5))
 
     def test_nonnegative(self):
+        rng = np.random.default_rng([20260811, 1])
         for _ in range(200):
             value = shear_stretch_energy(
-                random_rotation(RNG), random_gl_plus(RNG), random_weights(RNG)
+                random_rotation(rng), random_gl_plus(rng), random_weights(rng)
             )
             assert value >= 0.0
 
 
 class TestExpandedForm:
     def test_matches_defining_form(self):
+        rng = np.random.default_rng([20260811, 2])
         for _ in range(1000):
-            f = random_gl_plus(RNG)
-            r = random_rotation(RNG)
-            w = random_weights(RNG)
+            f = random_gl_plus(rng)
+            r = random_rotation(rng)
+            w = random_weights(rng)
             assert energy_expanded(r, f, w) == pytest.approx(
                 shear_stretch_energy(r, f, w), rel=1e-10, abs=1e-12
             )
 
     def test_equal_weights_reduce_to_frobenius_misfit(self):
+        rng = np.random.default_rng([20260811, 3])
         for _ in range(200):
-            f = random_gl_plus(RNG)
-            r = random_rotation(RNG)
+            f = random_gl_plus(rng)
+            r = random_rotation(rng)
             x = r.transpose() @ f - Mat2.identity()
             assert energy_expanded(r, f, Weights(1.0, 1.0)) == pytest.approx(
                 x.frobenius_sq(), rel=1e-10, abs=1e-12
@@ -176,26 +214,29 @@ class TestExpandedForm:
 
 class TestRingEnergy:
     def test_decomposition(self):
+        rng = np.random.default_rng([20260811, 4])
         for _ in range(500):
-            f = random_gl_plus(RNG)
-            r = random_rotation(RNG)
+            f = random_gl_plus(rng)
+            r = random_rotation(rng)
             ring = ring_energy(r, f)
             assert ring.wring + ring.cring == pytest.approx(
                 shear_stretch_energy(r, f, LIMIT), rel=1e-10, abs=1e-12
             )
 
     def test_constant_term_in_stretch_trace(self):
+        rng = np.random.default_rng([20260811, 5])
         for _ in range(100):
-            f = random_gl_plus(RNG)
+            f = random_gl_plus(rng)
             inv = trace_invariants(f)
-            ring = ring_energy(random_rotation(RNG), f)
+            ring = ring_energy(random_rotation(rng), f)
             assert ring.cring == pytest.approx(
                 0.5 * inv.tr_u**2 - 2.0 * inv.det_f + 2.0, rel=1e-12
             )
 
     def test_critical_values(self):
+        rng = np.random.default_rng([20260811, 6])
         for _ in range(100):
-            f = random_gl_plus(RNG)
+            f = random_gl_plus(rng)
             inv = trace_invariants(f)
             rot_polar = polar_decompose(f).rotation
             at_polar = ring_energy(rot_polar, f).wring
@@ -212,10 +253,11 @@ class TestRingEnergy:
 
 class TestExpandingTheSquare:
     def test_identity(self):
+        rng = np.random.default_rng([20260811, 7])
         for _ in range(300):
-            f = random_gl_plus(RNG)
-            r = random_rotation(RNG)
-            rho = RNG.uniform(0.5, 5.0)
+            f = random_gl_plus(rng)
+            r = random_rotation(rng)
+            rho = rng.uniform(0.5, 5.0)
             x = r.transpose() @ f
             shifted = x - rho * Mat2.identity()
             lhs = (shifted @ shifted).trace()
@@ -225,20 +267,22 @@ class TestExpandingTheSquare:
 
 class TestRescaledEnergy:
     def test_zero_couple_modulus_is_doubling(self):
+        rng = np.random.default_rng([20260811, 8])
         for _ in range(100):
-            f = random_gl_plus(RNG)
-            r = random_rotation(RNG)
+            f = random_gl_plus(rng)
+            r = random_rotation(rng)
             assert rescaled_energy(r, f, LIMIT) == pytest.approx(
                 2.0 * shear_stretch_energy(r, f, LIMIT), rel=1e-14
             )
 
     def test_affine_relation_offset_is_constant(self):
-        f = random_gl_plus(RNG)
+        rng = np.random.default_rng([20260811, 9])
+        f = random_gl_plus(rng)
         w = Weights(1.0, 0.5)
         data = reduction_data(f, w)
         offsets = []
         for _ in range(100):
-            r = random_rotation(RNG)
+            r = random_rotation(rng)
             lhs = rescaled_energy(r, f, w)
             rhs = data.lam**2 * rescaled_energy(r, data.ftilde, LIMIT)
             offsets.append(lhs - rhs)
@@ -260,8 +304,9 @@ class TestConstantsChain:
         assert chain == pytest.approx((3.0, 6.0, 2.0, 0.0))
 
     def test_zero_couple_modulus_self_reduction(self):
+        rng = np.random.default_rng([20260811, 10])
         for _ in range(100):
-            f = random_gl_plus(RNG)
+            f = random_gl_plus(rng)
             assert constants_chain(f, LIMIT).c4 == pytest.approx(0.0, abs=1e-12)
 
     def test_worked_example(self):
@@ -269,11 +314,12 @@ class TestConstantsChain:
         assert chain.c1 == pytest.approx(11.5)
 
     def test_c4_matches_empirical_offset(self):
+        rng = np.random.default_rng([20260811, 11])
         for _ in range(50):
-            f, w = random_nonclassical_case(RNG)
+            f, w = random_nonclassical_case(rng)
             data = reduction_data(f, w)
             c4 = constants_chain(f, w).c4
-            r = random_rotation(RNG)
+            r = random_rotation(rng)
             offset = rescaled_energy(r, f, w) - data.lam**2 * rescaled_energy(
                 r, data.ftilde, LIMIT
             )
@@ -293,8 +339,9 @@ class TestCriticalEnergyLevels:
         assert EnergyLevels._field_defaults == {}
 
     def test_ordering(self):
+        rng = np.random.default_rng([20260811, 12])
         for _ in range(500):
-            lv = critical_energy_levels(random_gl_plus(RNG))
+            lv = critical_energy_levels(random_gl_plus(rng))
             assert lv.w1 >= lv.w2 - 1e-12
             if lv.w3 is not None:
                 assert lv.w2 >= lv.w3 - 1e-12
@@ -362,20 +409,23 @@ class TestReducedEnergySingularValues:
         assert reduced_energy_sv((0.5, 0.5)) == pytest.approx(0.5)
 
     def test_swap_symmetry(self):
+        rng = np.random.default_rng([20260811, 13])
         for _ in range(100):
-            s1, s2 = RNG.uniform(0.05, 4.0, size=2)
+            s1, s2 = rng.uniform(0.05, 4.0, size=2)
             assert reduced_energy_sv((s1, s2)) == reduced_energy_sv((s2, s1))
 
     def test_agrees_with_reduced_energy(self):
+        rng = np.random.default_rng([20260811, 14])
         for _ in range(500):
-            f = random_gl_plus(RNG)
+            f = random_gl_plus(rng)
             assert reduced_energy_sv(singular_values(f)) == pytest.approx(
                 reduced_energy(f, LIMIT).value, rel=1e-10, abs=1e-12
             )
 
     def test_branches_agree_on_boundary(self):
+        rng = np.random.default_rng([20260811, 15])
         for _ in range(100):
-            s1 = RNG.uniform(1.0, 1.999)
+            s1 = rng.uniform(1.0, 1.999)
             s2 = 2.0 - s1
             below = (s1 - 1.0) ** 2 + (s2 - 1.0) ** 2
             above = 0.5 * (s1 - s2) ** 2
@@ -415,17 +465,22 @@ class TestMatrixLog:
             )
 
     def test_random_against_scipy(self):
+        rng = np.random.default_rng([20260811, 16])
         count = 0
         while count < 200:
-            x = random_gl_plus(RNG)
+            x = random_gl_plus(rng)
             try:
                 lg = matrix_log_2x2(x)
             except LogUndefined:
                 continue
             count += 1
-            np.testing.assert_allclose(
-                lg.as_array(), np.real(logm(x.as_array())), atol=1e-9
-            )
+            with warnings.catch_warnings():
+                # as in test_profile_matches_scalar: an X with eigenvalues
+                # -0.7592 +- 0.0384i made scipy estimate 1.1e-12; the package
+                # and scipy are within 1.6e-12 of mpmath's eigendecomposition
+                warnings.filterwarnings("ignore", "logm result may be inaccurate", RuntimeWarning)
+                reference = np.real(logm(x.as_array()))
+            np.testing.assert_allclose(lg.as_array(), reference, atol=1e-9)
 
     def test_exp_roundtrip(self):
         from scipy.linalg import expm
@@ -476,10 +531,11 @@ class TestLogStrainEnergy:
         assert log_strain_energy(Mat2.identity(), Mat2.identity(), Weights(1.0, 1.0)) == 0.0
 
     def test_polar_gives_principal_log_norm(self):
+        rng = np.random.default_rng([20260811, 17])
         for _ in range(100):
-            f = random_gl_plus(RNG)
-            mu = RNG.uniform(0.1, 3.0)
-            w = Weights(mu, RNG.uniform(0.0, 3.0))
+            f = random_gl_plus(rng)
+            mu = rng.uniform(0.1, 3.0)
+            w = Weights(mu, rng.uniform(0.0, 3.0))
             sv = singular_values(f)
             expected = mu * (math.log(sv.sigma1) ** 2 + math.log(sv.sigma2) ** 2)
             value = log_strain_energy(polar_decompose(f).rotation, f, w)
@@ -496,11 +552,12 @@ class TestLogStrainEnergy:
 
     def test_profile_matches_scalar(self):
         # the scalar energy shares the profile's log; scipy's logm is independent
-        f = random_gl_plus(RNG)
+        rng = np.random.default_rng([20260811, 18])
+        f = random_gl_plus(rng)
         w = Weights(1.5, 0.7)
         profile = log_strain_profile(f, w)
         for _ in range(50):
-            a = RNG.uniform(-math.pi, math.pi)
+            a = rng.uniform(-math.pi, math.pi)
             try:
                 expected = log_strain_energy(rotation(a), f, w)
             except LogUndefined:
@@ -553,14 +610,31 @@ class TestLogStrainEnergy:
 
 class TestShearStretchProfile:
     def test_matches_scalar_energy(self):
+        rng = np.random.default_rng([20260811, 19])
         for _ in range(50):
-            f = random_gl_plus(RNG)
-            w = random_weights(RNG)
+            f = random_gl_plus(rng)
+            w = random_weights(rng)
             profile = shear_stretch_profile(f, w)
-            a = RNG.uniform(-math.pi, math.pi)
+            a = rng.uniform(-math.pi, math.pi)
             assert profile(a) == pytest.approx(
                 shear_stretch_energy(rotation(a), f, w), rel=1e-12, abs=1e-14
             )
+
+    @pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])
+    def test_one_bit_pattern_on_every_route(self, scale):
+        # the checked energy, the closed forms' float core and the profile at a
+        # float, at a numpy scalar and in an array square by the same products
+        rng = np.random.default_rng([20260811, 21])
+        for _ in range(300):
+            f, w = scale * random_gl_plus(rng), random_weights(rng)
+            profile = shear_stretch_profile(f, w)
+            angles = rng.uniform(-math.pi, math.pi, 8)
+            for a, in_array in zip(angles.tolist(), profile(angles).tolist()):
+                expected = shear_stretch_energy(rotation(a), f, w).hex()
+                assert _energy_at(a, *f.entries(), w.mu, w.muc).hex() == expected
+                assert profile(a).hex() == expected
+                assert float(profile(np.float64(a))).hex() == expected
+                assert in_array.hex() == expected
 
     def test_vectorized_shape(self):
         profile = shear_stretch_profile(Mat2.diagonal(2.0, 1.0), LIMIT)

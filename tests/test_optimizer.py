@@ -31,7 +31,6 @@ from cosserat2d.selfcheck import (
 )
 from record_checks import check_record
 
-RNG = np.random.default_rng(20260813)
 LIMIT = Weights(1.0, 0.0)
 
 
@@ -58,8 +57,9 @@ class TestCriticalSet:
         assert cs.nonclassical == (0.0, 0.0)
 
     def test_angles_zero_the_derivative(self):
+        rng = np.random.default_rng([20260813, 1])
         for _ in range(300):
-            f = random_gl_plus(RNG)
+            f = random_gl_plus(rng)
             cs = critical_set(f)
             for a in list(cs.classical_pair) + list(cs.nonclassical or ()):
                 assert abs(stationarity_residual(a, f)) < 1e-8
@@ -118,32 +118,36 @@ class TestOptimalSet:
         assert ms.beta == pytest.approx(math.acos(4.0 / 6.0), abs=1e-12)
 
     def test_classical_weights_give_polar(self):
+        rng = np.random.default_rng([20260813, 2])
         for _ in range(100):
-            f = random_gl_plus(RNG)
+            f = random_gl_plus(rng)
             ms = optimal_set(f, Weights(1.0, 1.0))
             assert ms.branch is Branch.CLASSICAL
             assert ms.angles == (polar_angle(f),)
             assert ms.beta == 0.0
 
     def test_energy_equals_reduced(self):
+        rng = np.random.default_rng([20260813, 3])
         for _ in range(300):
-            f, w = random_nonclassical_case(RNG)
+            f, w = random_nonclassical_case(rng)
             ms = optimal_set(f, w)
             red = reduced_energy(f, w)
             assert ms.energy == pytest.approx(red.value, rel=1e-12, abs=1e-15)
             assert ms.branch is red.branch
 
     def test_energy_realized_at_every_listed_angle(self):
+        rng = np.random.default_rng([20260813, 4])
         for _ in range(300):
-            f, w = random_nonclassical_case(RNG)
+            f, w = random_nonclassical_case(rng)
             ms = optimal_set(f, w)
             for a in ms.angles:
                 value = shear_stretch_energy(rotation(a), f, w)
                 assert value == pytest.approx(ms.energy, rel=1e-12, abs=1e-12)
 
     def test_pitchfork_angles_are_symmetric_about_polar(self):
+        rng = np.random.default_rng([20260813, 5])
         for _ in range(300):
-            f, w = random_nonclassical_case(RNG)
+            f, w = random_nonclassical_case(rng)
             ms = optimal_set(f, w)
             if ms.branch is Branch.PITCHFORK:
                 ap = polar_angle(f)
@@ -174,8 +178,9 @@ class TestOptimalSet:
         assert previous < 2e-4
 
     def test_minimality_over_criticals(self):
+        rng = np.random.default_rng([20260813, 6])
         for _ in range(300):
-            f = random_gl_plus(RNG)
+            f = random_gl_plus(rng)
             ms = optimal_set(f, LIMIT)
             cs = critical_set(f)
             for a in list(cs.classical_pair) + list(cs.nonclassical or ()):
@@ -203,8 +208,9 @@ class TestRelativeRotationMagnitude:
 
 class TestStationarityResidual:
     def test_zero_at_polar_pair(self):
+        rng = np.random.default_rng([20260813, 7])
         for _ in range(100):
-            f = random_gl_plus(RNG)
+            f = random_gl_plus(rng)
             ap = polar_angle(f)
             assert abs(stationarity_residual(ap, f)) < 1e-10
             assert abs(stationarity_residual(normalize_angle(ap + math.pi), f)) < 1e-10
@@ -215,11 +221,12 @@ class TestStationarityResidual:
         )
 
     def test_matches_finite_differences(self):
+        rng = np.random.default_rng([20260813, 8])
         step = 1e-5
         for _ in range(200):
-            f = random_gl_plus(RNG)
-            w = Weights(RNG.uniform(0.1, 2.0), RNG.uniform(0.0, 2.0))
-            a = RNG.uniform(-math.pi, math.pi)
+            f = random_gl_plus(rng)
+            w = Weights(rng.uniform(0.1, 2.0), rng.uniform(0.0, 2.0))
+            a = rng.uniform(-math.pi, math.pi)
             analytic = stationarity_residual(a, f, w)
             plus = shear_stretch_energy(rotation(a + step), f, w)
             minus = shear_stretch_energy(rotation(a - step), f, w)
@@ -231,8 +238,9 @@ class TestMicrostrainSymmetryDefect:
     """|signed_defect_profile(f)(a)|, the skew entry of R(a)^T F in magnitude."""
 
     def test_zero_at_polar_and_opposite(self):
+        rng = np.random.default_rng([20260813, 9])
         for _ in range(100):
-            f = random_gl_plus(RNG)
+            f = random_gl_plus(rng)
             alpha_p = polar_angle(f)
             defect = signed_defect_profile(f)
             assert abs(defect(alpha_p)) < 1e-14
@@ -244,9 +252,10 @@ class TestMicrostrainSymmetryDefect:
 
     def test_relative_angle_formula(self):
         # |sin(beta)| * tr U / 2, beta the rotation of R(a) relative to the polar factor
+        rng = np.random.default_rng([20260813, 10])
         for _ in range(300):
-            f = random_gl_plus(RNG)
-            a = RNG.uniform(-math.pi, math.pi)
+            f = random_gl_plus(rng)
+            a = rng.uniform(-math.pi, math.pi)
             inv = trace_invariants(f)
             expected = abs(math.sin(polar_angle(f) - a)) * inv.tr_u / 2.0
             assert abs(signed_defect_profile(f)(a)) == pytest.approx(expected, abs=1e-10)
@@ -254,11 +263,12 @@ class TestMicrostrainSymmetryDefect:
 
 class TestOracleAgreementSpot:
     def test_classical_weights_pick_polar(self):
+        rng = np.random.default_rng([20260813, 11])
         from cosserat2d import grid_minimize, shear_stretch_profile
 
         for _ in range(20):
-            f = random_gl_plus(RNG)
-            w = random_classical_weights(RNG)
+            f = random_gl_plus(rng)
+            w = random_classical_weights(rng)
             grid = grid_minimize(shear_stretch_profile(f, w), 2048, vectorized=True)
             assert len(grid.angles) == 1
             assert circular_distance(grid.angles[0], polar_angle(f)) < 1e-6

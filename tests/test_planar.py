@@ -41,7 +41,6 @@ from cosserat2d.selfcheck import (
 )
 from cosserat2d.shear import simple_shear
 
-RNG = np.random.default_rng(20260810)
 
 finite_angles = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
@@ -111,8 +110,9 @@ class TestMat2:
             Mat2(*entries)
 
     def test_matmul_matches_numpy(self):
-        a = random_unconstrained(RNG)
-        b = random_unconstrained(RNG)
+        rng = np.random.default_rng([20260810, 1])
+        a = random_unconstrained(rng)
+        b = random_unconstrained(rng)
         np.testing.assert_allclose((a @ b).as_array(), a.as_array() @ b.as_array())
 
     def test_gl_plus_membership(self):
@@ -145,8 +145,9 @@ class TestMat2:
                 assert rotation_defect(r) == via_mat2(r)
 
     def test_cayley_hamilton_trace_identity(self):
+        rng = np.random.default_rng([20260810, 2])
         for _ in range(500):
-            x = random_unconstrained(RNG)
+            x = random_unconstrained(rng)
             lhs = (x @ x).trace()
             rhs = x.trace() ** 2 - 2.0 * x.det()
             assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
@@ -177,15 +178,17 @@ class TestTraceInvariants:
 
     def test_stretch_trace_vs_eigensolver_bulk(self):
         # 1000 random samples against an independent symmetric eigensolver
+        rng = np.random.default_rng([20260810, 3])
         for _ in range(1000):
-            f = random_gl_plus(RNG)
+            f = random_gl_plus(rng)
             gram = f.as_array().T @ f.as_array()
             eig_sum = float(np.sqrt(np.linalg.eigvalsh(gram)).sum())
             assert abs(trace_invariants(f).tr_u - eig_sum) < 1e-9
 
     def test_pythagorean_identity(self):
+        rng = np.random.default_rng([20260810, 4])
         for _ in range(500):
-            inv = trace_invariants(random_gl_plus(RNG))
+            inv = trace_invariants(random_gl_plus(rng))
             assert inv.tr_f**2 + inv.tr_jf**2 == pytest.approx(inv.tr_u**2, rel=1e-10)
 
 
@@ -207,34 +210,38 @@ class TestPolar:
         assert polar_angle(f) == pytest.approx(0.7, abs=1e-14)
 
     def test_angle_satisfies_both_equations(self):
+        rng = np.random.default_rng([20260810, 5])
         for _ in range(300):
-            f = random_gl_plus(RNG)
+            f = random_gl_plus(rng)
             inv = trace_invariants(f)
             a = polar_angle(f)
             assert math.cos(a) == pytest.approx(inv.tr_f / inv.tr_u, abs=1e-12)
             assert math.sin(a) == pytest.approx(-inv.tr_jf / inv.tr_u, abs=1e-12)
 
     def test_factorization_and_symmetry(self):
+        rng = np.random.default_rng([20260810, 6])
         for _ in range(300):
-            f = random_gl_plus(RNG)
+            f = random_gl_plus(rng)
             dec = polar_decompose(f)
             assert (dec.rotation @ dec.stretch - f).frobenius_norm() < 1e-10
             assert abs(dec.stretch.e12 - dec.stretch.e21) < 1e-12
             require_rotation(dec.rotation)
 
     def test_scale_invariance(self):
+        rng = np.random.default_rng([20260810, 7])
         for _ in range(300):
-            f = random_gl_plus(RNG)
-            c = RNG.uniform(0.05, 20.0)
+            f = random_gl_plus(rng)
+            c = rng.uniform(0.05, 20.0)
             assert circular_distance(polar_angle(f), polar_angle(c * f)) < 1e-12
 
     def test_trace_along_circle_matches_cosine_form(self):
         # tr(R(a)^T F) must equal tr U * cos(a - alpha_p); the sign of the
         # sin-term matters and is pinned here against direct matrix algebra.
+        rng = np.random.default_rng([20260810, 8])
         for _ in range(200):
-            f = random_gl_plus(RNG)
+            f = random_gl_plus(rng)
             inv = trace_invariants(f)
-            a = RNG.uniform(-math.pi, math.pi)
+            a = rng.uniform(-math.pi, math.pi)
             direct = (rotation(a).transpose() @ f).trace()
             cosine = inv.tr_u * math.cos(a - polar_angle(f))
             assert direct == pytest.approx(cosine, abs=1e-10)
@@ -250,8 +257,9 @@ class TestSingularValues:
         assert sv.sigma1 * sv.sigma2 == pytest.approx(1.0, abs=1e-14)
 
     def test_invariants(self):
+        rng = np.random.default_rng([20260810, 9])
         for _ in range(500):
-            f = random_gl_plus(RNG)
+            f = random_gl_plus(rng)
             sv = singular_values(f)
             assert sv.sigma1 >= sv.sigma2 > 0.0
             assert sv.sigma1 * sv.sigma2 == pytest.approx(f.det(), rel=1e-10)
@@ -260,8 +268,9 @@ class TestSingularValues:
             )
 
     def test_matches_numpy_svd(self):
+        rng = np.random.default_rng([20260810, 10])
         for _ in range(200):
-            f = random_gl_plus(RNG)
+            f = random_gl_plus(rng)
             expected = np.linalg.svd(f.as_array(), compute_uv=False)
             np.testing.assert_allclose(singular_values(f), expected, atol=1e-10)
 
@@ -302,8 +311,9 @@ class TestCofactorTransform:
         np.testing.assert_allclose(tau.as_array(), oracle, atol=1e-14)
 
     def test_algebraic_relations(self):
+        rng = np.random.default_rng([20260810, 11])
         for _ in range(300):
-            f = random_gl_plus(RNG)
+            f = random_gl_plus(rng)
             tau = cofactor_transform(f)
             assert tau.det() == pytest.approx(f.det(), rel=1e-12)
             product = tau @ f.transpose()
@@ -362,7 +372,8 @@ class TestRelativeAngle:
         return rotation(a).transpose() @ polar_decompose(f).rotation
 
     def test_polar_factor_has_zero_relative_rotation(self):
-        f = random_gl_plus(RNG)
+        rng = np.random.default_rng([20260810, 12])
+        f = random_gl_plus(rng)
         assert (self.relative(polar_angle(f), f) - Mat2.identity()).frobenius_norm() < 1e-15
 
     def test_identity_gradient(self):
@@ -373,9 +384,10 @@ class TestRelativeAngle:
         assert (product - rotation(-math.pi / 4.0)).frobenius_norm() < 1e-14
 
     def test_matches_matrix_product(self):
+        rng = np.random.default_rng([20260810, 13])
         for _ in range(200):
-            f = random_gl_plus(RNG)
-            a = RNG.uniform(-math.pi, math.pi)
+            f = random_gl_plus(rng)
+            a = rng.uniform(-math.pi, math.pi)
             beta = normalize_angle(polar_angle(f) - a)
             product = self.relative(a, f)
             assert (rotation(beta) - product).frobenius_norm() < 1e-12
