@@ -227,8 +227,6 @@ def _clusters(cells: np.ndarray, n: int) -> list[tuple[int, int]]:
     # Contiguous runs of the near-minimal cells, given as increasing indices,
     # on the circular grid of n cells, returned as (first, last) index pairs
     # where last may exceed n-1 for a run that wraps around the seam.
-    if cells.size == n:
-        return [(0, n - 1)]
     runs: list[tuple[int, int]] = []
     start = prev = int(cells[0])
     for i in cells[1:].tolist():
@@ -339,12 +337,10 @@ def sign_change_scan(
     h, values = _sample(f, grid_n, vectorized, 0.0)
 
     # cell i runs from sample i to sample i + 1, the last one across the
-    # seam; a product that underflows to zero brackets no root. The products
-    # are formed block by block, so none is a grid-sized array.
+    # seam; a product that underflows to zero brackets no root. Slices, not
+    # np.roll, whose own overhead is larger than the products at 1440 samples.
     hit = values == 0.0
-    for start in range(0, values.size, _GRID_BLOCK):
-        stop = min(start + _GRID_BLOCK, values.size - 1)
-        hit[start:stop] |= values[start:stop] * values[start + 1:stop + 1] < 0.0
+    hit[:-1] |= values[:-1] * values[1:] < 0.0
     hit[-1] |= values[-1] * values[0] < 0.0
     roots: list[float] = []
     for i in np.flatnonzero(hit).tolist():
@@ -369,6 +365,6 @@ def angle_set_distance(a: Sequence[float], b: Sequence[float]) -> float:
         return 0.0
     if not a or not b:
         return math.inf
-    d_ab = max(min(circular_distance(x, y) for y in b) for x in a)
-    d_ba = max(min(circular_distance(x, y) for y in a) for x in b)
-    return max(d_ab, d_ba)
+    # circular_distance is symmetric, so one table serves both directions
+    table = [[circular_distance(x, y) for y in b] for x in a]
+    return max(max(map(min, table)), max(map(min, zip(*table))))

@@ -311,7 +311,7 @@ def _stream_table(args, table: _Table, row, sweep) -> int:
             row(value)
         except ArithmeticError as exc:
             raise PlanarCosseratError(
-                f"row at {value!r} leaves the floating-point range ({exc})"
+                f"row at {value!r} leaves the floating-point range"
             ) from exc
     with _output(args.out) as handle:
         table.write(handle, map(row, values), args.format, args.degrees)
@@ -567,8 +567,8 @@ def main(argv=None) -> int:
     except ValueError as exc:  # PlanarCosseratError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
-    except ArithmeticError as exc:  # a result beyond the floating-point range
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    except ArithmeticError:  # Python's text would name its class and an errno tuple
+        print(f"error: {args.command}: a result leaves the floating-point range", file=sys.stderr)
         return EXIT_INVALID_INPUT
 
 

@@ -115,7 +115,8 @@ class TestShearStretchEnergy:
         rng = np.random.default_rng(62)
         for _ in range(300):
             a = rng.uniform(-math.pi, math.pi)
-            near = rotation(a) + Mat2(*rng.uniform(-1.0, 1.0, 4) * ROTATION_TOL / 8.0)
+            shift = rng.uniform(-1.0, 1.0, 4) * ROTATION_TOL / 8.0
+            near = Mat2(*np.add(rotation(a).entries(), shift))  # entrywise, as Mat2 has no +
             w = random_weights(rng)
             f = random_gl_plus(rng)
             for r in (rotation(a), near):

@@ -250,6 +250,25 @@ class TestAngleSetDistance:
         assert angle_set_distance([], [0.5]) == math.inf
         assert angle_set_distance((0.5,), ()) == math.inf
 
+    def test_one_table_has_the_bits_of_both_directions(self):
+        def two_way(a, b):
+            d_ab = max(min(circular_distance(x, y) for y in b) for x in a)
+            d_ba = max(min(circular_distance(x, y) for y in a) for x in b)
+            return max(d_ab, d_ba)
+
+        # +-pi, +-0.0 and angles on either side of the seam
+        special = [math.pi, -math.pi, 0.0, -0.0, math.tau, -math.tau,
+                   math.nextafter(math.pi, 0.0), math.nextafter(-math.pi, 0.0),
+                   math.pi - 1e-9, -math.pi + 1e-9]
+        rng = np.random.default_rng(20261019)
+        for _ in range(3000):
+            a, b = (
+                [special[rng.integers(len(special))] if rng.random() < 0.5
+                 else float(rng.uniform(-4.0, 4.0)) for _ in range(rng.integers(1, 4))]
+                for _ in range(2)
+            )
+            assert angle_set_distance(a, b).hex() == two_way(a, b).hex()
+
 
 class TestSignChangeScan:
     def test_sine(self):
@@ -484,6 +503,24 @@ class TestSignChangeScanMatchesLoop:
         assert any(circular_distance(r, root) < 1e-9 for r in roots)
         assert roots == _reference_scan(f, grid_n, vectorized=True)
 
+    @pytest.mark.parametrize("grid_n", [4095, 4096, 4097, 8193, 20000])
+    def test_grid_sizes_around_the_sampling_block(self, grid_n):
+        # an exact zero at a sample and a root in the seam cell, on grids that
+        # end just before, at and after a multiple of _sample's 4096-angle block
+        h = math.tau / grid_n
+        node = float(-math.pi + h * np.arange(grid_n)[grid_n // 3])
+        seam = math.pi - 0.3 * h  # between the last sample pi - h and pi
+
+        def f(a):
+            a = np.asarray(a)
+            return np.sin(a - node) * np.sin(a - seam)
+
+        roots = sign_change_scan(f, grid_n, vectorized=True)
+        assert node in roots
+        assert any(circular_distance(r, seam) < 1e-9 for r in roots)
+        expected = _reference_scan(f, grid_n, vectorized=True)
+        assert [r.hex() for r in roots] == [r.hex() for r in expected]
+
     def test_scalar_path(self):
         rng = np.random.default_rng(7)
         for _ in range(5):
@@ -655,10 +692,11 @@ class TestNearCells:
                 self._check(_grid_samples(energy, grid_n))
 
     def test_constant(self):
-        n = 720
-        cells = self._check(np.full(n, 5.0))
-        assert cells.tolist() == list(range(n))
-        assert _clusters(cells, n) == [(0, n - 1)]
+        for n in (MIN_GRID_N, 720, 4097):
+            cells = self._check(np.full(n, 5.0))
+            assert cells.tolist() == list(range(n))
+            # every cell is one run
+            assert _clusters(cells, n) == [(0, n - 1)]
 
     def test_run_across_the_seam(self):
         n = 720

@@ -115,6 +115,12 @@ class TestMat2:
         b = random_unconstrained(rng)
         np.testing.assert_allclose((a @ b).as_array(), a.as_array() @ b.as_array())
 
+    def test_no_matrix_sum(self):
+        # nothing in the package adds two matrices; __sub__ stays, as selfcheck subtracts
+        with pytest.raises(TypeError):
+            Mat2.identity() + Mat2.identity()
+        assert Mat2.identity() - Mat2.identity() == Mat2(0.0, 0.0, 0.0, 0.0)
+
     def test_gl_plus_membership(self):
         with pytest.raises(NonPositiveDeterminant):
             trace_invariants(Mat2.diagonal(1.0, -1.0))
@@ -139,7 +145,8 @@ class TestMat2:
         rng = np.random.default_rng(61)
         for _ in range(500):
             a = rng.uniform(-math.pi, math.pi)
-            near = rotation(a) + Mat2(*rng.uniform(-1.0, 1.0, 4) * ROTATION_TOL / 8.0)
+            shift = rng.uniform(-1.0, 1.0, 4) * ROTATION_TOL / 8.0
+            near = Mat2(*np.add(rotation(a).entries(), shift))  # entrywise, as Mat2 has no +
             require_rotation(near)
             for r in (rotation(a), near, random_unconstrained(rng)):
                 assert rotation_defect(r) == via_mat2(r)
