@@ -295,17 +295,15 @@ def reduced_energy_sv(pair: SingularPair | tuple[float, float]) -> float:
     return 0.5 * (s1 - s2) ** 2
 
 
-_LOG_BRANCH_TOL = 1e-14
-
-
 def matrix_log_2x2(x: Mat2) -> Mat2:
     """Principal logarithm of a real 2x2 matrix, in closed form.
 
     Three cases: distinct positive real eigenvalues (spectral / divided
     difference form, with log1p to keep nearby eigenvalues accurate), a
-    complex-conjugate pair (rotation-scaling form), and coincident
-    eigenvalues (Jordan form; exact since the nilpotent part squares to
-    zero). Raises LogUndefined when the spectrum touches (-inf, 0].
+    complex-conjugate pair (rotation-scaling form), and coincident positive
+    eigenvalues, only where (tr X)^2 - 4 det X is exactly 0 (Jordan form, exact
+    as its nilpotent part squares to 0). Raises LogUndefined when the spectrum
+    touches (-inf, 0].
     """
     lg = _log_at(*x.entries(), x.det())
     if lg is None:
@@ -316,13 +314,13 @@ def matrix_log_2x2(x: Mat2) -> Mat2:
     return Mat2(*lg)
 
 
-# The three eigenvalue cases of the principal log of X, each written once. A
-# case maps t = tr X, disc = t^2 - 4 det X and d = det X (a float) to
-# (const, coeff, shift), with log X = const + coeff * (X - shift); it runs on
-# floats with math's sqrt or on the arrays of one case's mask with numpy's, and
-# on numpy's log, log1p and arctan2 for both. A coefficient is formed before
-# the log of an eigenvalue, so that a float eigenvalue that underflowed to 0
-# raises ZeroDivisionError before numpy's log can warn.
+# The three eigenvalue cases of the principal log of X, each written once; the
+# sign of disc picks one (_log_rules). A case maps t = tr X, disc = t^2 - 4 det X
+# and d = det X (a float) to (const, coeff, shift), with log X = const + coeff *
+# (X - shift); it runs on floats with math's sqrt or on the arrays of one case's
+# mask with numpy's, and on numpy's log, log1p and arctan2 for both. Each forms
+# its coefficient before the log of an eigenvalue, so a float eigenvalue that
+# underflowed to 0 raises ZeroDivisionError before numpy's log can warn.
 
 def _log_complex(t, disc, d, sqrt):
     # a complex-conjugate pair, in rotation-scaling form
@@ -346,6 +344,16 @@ def _log_coincident(t, disc, d, sqrt):
     return np.log(lam), coeff, lam
 
 
+def _log_rules(t, disc, d):
+    # The log's case rule, once for floats and for arrays: disjoint (condition,
+    # case) pairs. Real eigenvalues are both positive when t > 0 and d > 0; the
+    # Jordan form needs disc == 0 exactly; a NaN or infinite disc meets none.
+    positive = (t > 0.0) & (d > 0.0)
+    return (((disc > -math.inf) & (disc < 0.0), _log_complex),
+            ((disc > 0.0) & (disc < math.inf) & positive, _log_distinct),
+            ((disc == 0.0) & positive, _log_coincident))
+
+
 def _log_entries(x11, x12, x21, x22, const, coeff, shift):
     # the entries of const + coeff * (X - shift)
     return (const + coeff * (x11 - shift), coeff * x12,
@@ -358,11 +366,7 @@ def _log_cases(x11, x12, x21, x22, d: float):
     # eigenvalue case present; off every mask, log X is undefined.
     t = x11 + x22
     disc = t * t - 4.0 * d
-    tol = _LOG_BRANCH_TOL * np.maximum(1.0, np.maximum(t * t, 4.0 * abs(d)))
-    # a discriminant of +-inf makes tol inf too, so it must be finite in the last case
-    for m, case in ((disc < -tol, _log_complex),
-                    ((disc > tol) & (t > 0.0) & (d > 0.0), _log_distinct),
-                    ((np.abs(disc) <= tol) & np.isfinite(disc) & (t > 0.0), _log_coincident)):
+    for m, case in _log_rules(t, disc, d):
         if m.any():
             yield (m, *_log_entries(x11[m], x12[m], x21[m], x22[m],
                                     *case(t[m], disc[m], d, np.sqrt)))
@@ -370,25 +374,19 @@ def _log_cases(x11, x12, x21, x22, d: float):
 
 def _log_at(x11: float, x12: float, x21: float, x22: float, d: float):
     # The entries of log X as floats, or None where log X is undefined: the case
-    # _log_cases would pick, picked by one if chain, its formula run on floats.
+    # of the first rule that holds, its formula run on floats.
     t = x11 + x22
-    tt = t * t
-    disc = tt - 4.0 * d
-    # max() skips a NaN that np.maximum returns, but then disc is NaN and no case applies
-    tol = _LOG_BRANCH_TOL * max(1.0, tt, 4.0 * abs(d))
-    if disc < -tol:
-        case = _log_complex
-    elif disc > tol and t > 0.0 and d > 0.0:
-        case = _log_distinct
-    elif abs(disc) <= tol and math.isfinite(disc) and t > 0.0:
-        case = _log_coincident
+    disc = t * t - 4.0 * d
+    for holds, case in _log_rules(t, disc, d):
+        if holds:
+            break
     else:
         return None
     try:
         const, coeff, shift = case(t, disc, d, math.sqrt)
     except ZeroDivisionError:
-        # an eigenvalue underflowed to 0, where numpy's division gives inf:
-        # the array route answers for this one matrix
+        # the smaller of two distinct eigenvalues underflowed to 0, where numpy's
+        # division gives inf: the array route answers for this one matrix
         with np.errstate(all="ignore"):
             for _, *lg in _log_cases(*np.array([[x11], [x12], [x21], [x22]]), d):
                 return tuple(float(v[0]) for v in lg)
@@ -418,9 +416,9 @@ def log_strain_energy(r: Mat2, f: Mat2, w: Weights) -> float:
 # in place. Each step is one correctly rounded product, sum or difference, so a
 # single angle gets the bits it has in an array, and a square beyond the
 # floating-point range is inf on both; the oracle reports it as NonFiniteEnergy.
-# The log-strain profile picks its eigenvalue case by one if chain for a single
-# angle, which it returns as a Python float, and by masks for an array, with the
-# same formulas and bits. An infinite angle gives NaN, or the log's sentinel.
+# The log-strain profile reads one case rule, _log_rules, on floats for a single
+# angle, returned as a Python float, and as masks for an array, with the same
+# formulas and bits. An infinite angle gives NaN, or the log's sentinel.
 # The cofactor profile is the shear-stretch profile of cof F, with its bits.
 # ---------------------------------------------------------------------------
 

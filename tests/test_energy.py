@@ -493,7 +493,9 @@ class TestMatrixLog:
     def test_float_route_has_the_array_bits(self):
         # the case that _log_cases picks on a one-matrix array, run on floats
         rng = np.random.default_rng(20261021)
-        xs = [Mat2(5e-324, -1e-8, 1e-8, 0.0)]  # lam = tr/2 underflows to 0
+        # a complex pair whose trace is subnormal, and distinct eigenvalues whose
+        # smaller one, det / 1e150 = 1e-350, underflows to 0
+        xs = [Mat2(5e-324, -1e-8, 1e-8, 0.0), Mat2(1e150, 1e-100, -1e-100, 0.0)]
         for _ in range(400):
             lam = 10.0 ** rng.uniform(-3.0, 3.0)
             xs += [Mat2(*rng.uniform(-2.0, 2.0, 4)), random_gl_plus(rng),

@@ -214,38 +214,43 @@ def test_closed_form_results_bits():
     assert digest == CLOSED_FORM_SHA256
 
 
-def profile_digest(n=120, seed=15070548):
-    """SHA-256 over the grid profiles and their scalar energies on n seeded inputs.
+def profile_lines(n=120, seed=15070548):
+    """The grid profiles and their scalar energies on n seeded inputs, as text.
 
-    Each matrix gets its four profiles on a 4097-angle grid (float64 bytes)
-    and at single angles, among them the polar angle plus pi, where the
-    principal logarithm is undefined and log_strain_profile returns its
-    sentinel; the scalar energies at the same angles come as float hex.
+    Each matrix k gets one line per profile: its index, the profile's name,
+    the SHA-256 of its values on a 4097-angle grid (float64 bytes), and its
+    float hex at eight single angles, among them the polar angle plus pi,
+    where the principal logarithm is undefined and log_strain_profile returns
+    its sentinel. One line per angle follows with the shear-stretch and
+    cofactor energies there, so two runs can be compared with diff.
     """
     rng = random.Random(seed)
     grid = np.linspace(-math.pi, math.pi, 4097)
-    h = hashlib.sha256()
-    for f in _matrices(rng, n, max_exp=100.0):
+    lines = []
+    for k, f in enumerate(_matrices(rng, n, max_exp=100.0)):
         w = _weights(rng)
         alpha_p = polar_angle(f)
         angles = [0.0, -0.0, math.pi, alpha_p, alpha_p + math.pi,
                   *(rng.uniform(-math.pi, math.pi) for _ in range(3))]
-        for profile in (shear_stretch_profile(f, w), cofactor_shear_profile(f, w),
-                        log_strain_profile(f, w), signed_defect_profile(f)):
-            h.update(np.asarray(profile(grid), dtype=float).tobytes())
-            h.update(" ".join(float(profile(a)).hex() for a in angles).encode())
+        for name, profile in (("shear_stretch", shear_stretch_profile(f, w)),
+                              ("cofactor", cofactor_shear_profile(f, w)),
+                              ("log_strain", log_strain_profile(f, w)),
+                              ("signed_defect", signed_defect_profile(f))):
+            values = np.asarray(profile(grid), dtype=float).tobytes()
+            lines.append(" ".join([str(k), name, hashlib.sha256(values).hexdigest(),
+                                   *(float(profile(a)).hex() for a in angles)]))
         for a in angles:
             r = rotation(a)
             cofactor = shear_stretch_energy(r, cofactor_transform(f), w)
-            h.update(f"{shear_stretch_energy(r, f, w).hex()} {cofactor.hex()}\n".encode())
-    return h.hexdigest()
+            lines.append(f"{k} energies {shear_stretch_energy(r, f, w).hex()} {cofactor.hex()}")
+    return "\n".join(lines) + "\n"
 
 
-PROFILE_SHA256 = "25cdf4869a3b32ea246b6f1cd9125a61071edd21e343d8a3f8db3b0750ef1421"
+PROFILE_SHA256 = "6116fb58b8320945812aaf7c75ffaed6d678958cab44eee81494c22861a3718a"
 
 
 def test_profile_results_bits():
-    assert profile_digest() == PROFILE_SHA256
+    assert hashlib.sha256(profile_lines().encode()).hexdigest() == PROFILE_SHA256
 
 
 def _reject_constant(token):

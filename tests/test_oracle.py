@@ -23,6 +23,7 @@ from cosserat2d import (
     shear_stretch_profile,
     sign_change_scan,
     signed_defect_profile,
+    singular_values,
     stationarity_residual,
     rotation,
 )
@@ -598,7 +599,11 @@ class TestFloatRoute:
                      *rng.uniform(-math.pi, math.pi, 6).tolist()]),
                 # R(beta)^T F is lam * 1 or a Jordan block, up to rounding
                 (lam * rotation(beta), [beta]),
-                (rotation(beta) @ Mat2(lam, rng.uniform(-1.0, 1.0), 0.0, lam), [beta]),
+                (rotation(beta) @ (jordan := Mat2(lam, rng.uniform(-1.0, 1.0), 0.0, lam)),
+                 [beta]),
+                # and exactly, at angle 0
+                (Mat2.diagonal(lam, lam), [0.0]),
+                (jordan, [0.0]),
                 # tr^2 overflows at every angle, and det F too on odd k
                 (Mat2.diagonal(1e160 * lam, (1e160 if k % 2 else 1e-160) / lam),
                  rng.uniform(-math.pi, math.pi, 2).tolist()),
@@ -740,3 +745,43 @@ class TestNearCells:
         cells = self._check(values)
         assert cells.tolist() == [100, 101, 400, 402]
         assert _clusters(cells, n) == [(100, 101), (400, 400), (402, 402)]
+
+
+class TestLogStrainScale:
+    """The log-strain profile of s * F for tiny and huge s > 0.
+
+    log(s X) = log(s) 1 + log X, and tr log(R^T F) = log det F for every R, so
+    the log-strain energy of s * F differs from that of F by a constant and
+    keeps its one minimizer, the polar factor (Neff, Nakatsukasa & Fischle).
+    """
+
+    @staticmethod
+    def _cases(rng, count):
+        # F with sigma1 / sigma2 <= 10, as verify's log_strain_polar_optimality draws
+        # it, and muc > 0: with muc = 0 the minimum can be flatter than the rounding
+        # of the constant 2 mu log(s)^2 (2.7e4 at s = 1e-50), which moved it 3.3e-6
+        weights = (Weights(1.0, 1.0), Weights(2.0, 0.5), Weights(1.0, 3.0))
+        cases = []
+        while len(cases) < count:
+            f = random_gl_plus(rng)
+            sv = singular_values(f)
+            if sv.sigma1 <= 10.0 * sv.sigma2:
+                cases.append((f, weights[len(cases) % len(weights)]))
+        return cases
+
+    @pytest.mark.parametrize("scale", [1e-7, 1e-8, 1e-50])
+    def test_one_minimum_at_the_polar_angle(self, scale):
+        for f, w in self._cases(np.random.default_rng(20261025), 12):
+            grid = grid_minimize(log_strain_profile(scale * f, w), 2880)
+            assert len(grid.minima) == 1, (f, w, grid.minima)
+            assert angle_set_distance(grid.angles, (polar_angle(f),)) <= 1e-6
+
+    def test_finite_at_extreme_scales(self):
+        # beside the undefined arc, where R^T F nears the negative axis, the
+        # energy can exceed UNDEFINED_LOG_ENERGY, but it stays finite: for the
+        # shear (1, 2; 0, 1) it reaches 2.7e17 on this grid
+        grid = np.linspace(-math.pi, math.pi, 20001)
+        shear = (Mat2(1.0, 2.0, 0.0, 1.0), Weights(1.0, 1.0))
+        for f, w in [shear] + self._cases(np.random.default_rng(20261026), 12):
+            for scale in (1e-100, 1e100):
+                assert np.isfinite(log_strain_profile(scale * f, w)(grid)).all(), (scale, f)

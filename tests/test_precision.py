@@ -20,9 +20,19 @@ EPS = 2.0**-52
 
 #: Forward-error factor: ||log X - reference|| <= K * EPS * ||reference|| in the
 #: Frobenius norm. The measured worst case over 9,000 draws of each generator
-#: below (three seeds of 3,000) was 589 for near-coincident eigenvalues, 291 for
-#: a complex pair and 170 for distinct ones; K leaves room for other libms.
+#: below (seeds 1-3 of 3,000 each) was 441 for distinct eigenvalues, 190 for a
+#: complex pair and 240 for either scaled by 10^U(-150, -8); K leaves room for
+#: other libms.
 K = 1024
+
+#: The factor for near-coincident eigenvalues, whose measured worst over 9,000
+#: draws was 2.1. A tolerance band around a zero discriminant used to send them
+#: to the Jordan form, which drops a term of size disc / (8 lam^2), and read 602.
+NEAR_COINCIDENT_K = 4
+
+#: Absolute bound near the identity, where the measured worst over 9,000 draws
+#: was 1.4 eps (32 eps with the tolerance band).
+NEAR_IDENTITY_ABS = 4
 
 #: A complex pair near the negative real axis, -1.243 +- 0.037i.
 FOUND = Mat2(-0.8084522505021428, -0.32225684609315647, 0.5917645357309529, -1.678108439583823)
@@ -77,16 +87,32 @@ def _near_coincident(rng):
     return _similar(rng, np.diag([lam * (1.0 + gap), lam * (1.0 - gap)]))
 
 
+def _tiny(rng):
+    # a distinct-positive or complex-pair draw scaled by 10^U(-150, -8)
+    x = (_distinct, _complex_pair)[rng.integers(2)](rng)
+    scale = 10.0 ** rng.uniform(-150.0, -8.0)
+    return Mat2(*(scale * v for v in x.entries()))
+
+
+def _near_identity(rng):
+    # lam (1 +- gap), |log lam| <= 0.5
+    lam = math.exp(rng.uniform(-0.5, 0.5))
+    gap = 10.0 ** rng.uniform(-12.0, -3.0)
+    return _similar(rng, np.diag([lam * (1.0 + gap), lam * (1.0 - gap)]))
+
+
 @pytest.mark.parametrize(
-    "index, draw", [(1, _distinct), (2, _complex_pair), (3, _near_coincident)],
-    ids=["distinct_positive", "complex_pair", "near_coincident"],
+    "index, draw, factor",
+    [(1, _distinct, K), (2, _complex_pair, K), (3, _near_coincident, NEAR_COINCIDENT_K),
+     (5, _tiny, K)],
+    ids=["distinct_positive", "complex_pair", "near_coincident", "tiny"],
 )
-def test_seeded_sets_within_k_eps(index, draw):
+def test_seeded_sets_within_k_eps(index, draw, factor):
     rng = np.random.default_rng([20261019, index])
     for _ in range(150):
         x = draw(rng)
         err, norm = _errors(x)
-        assert err <= K * EPS * norm, (x, err / (EPS * norm))
+        assert err <= factor * EPS * norm, (x, err / (EPS * norm))
 
 
 def test_found_matrix_has_its_principal_log():
@@ -104,15 +130,20 @@ def test_found_matrix_has_its_principal_log():
 
 def test_near_the_identity_within_absolute_eps():
     # Near the identity ||log X|| is small, and the error relative to it is not
-    # within K: at diag(1 + 1e-7, 1 - 1e-7) it is about 2e8 eps. The absolute
-    # error stays at a few dozen eps (the worst of 9,000 draws was 33).
+    # within K: at diag(1 + 1e-7, 1 - 1e-7) it is about 2.7e6 eps, from the
+    # cancellation in disc = t^2 - 4 det X. The absolute error is 0.38 eps there.
     rng = np.random.default_rng([20261019, 4])
     for _ in range(150):
-        lam = math.exp(rng.uniform(-0.5, 0.5))
-        gap = 10.0 ** rng.uniform(-12.0, -3.0)
-        x = _similar(rng, np.diag([lam * (1.0 + gap), lam * (1.0 - gap)]))
+        x = _near_identity(rng)
         err, _ = _errors(x)
-        assert err <= 64 * EPS, (x, err / EPS)
+        assert err <= NEAR_IDENTITY_ABS * EPS, (x, err / EPS)
     for gap in (1e-6, 1e-7, 1e-8):
         err, _ = _errors(Mat2.diagonal(1.0 + gap, 1.0 - gap))
-        assert err <= 64 * EPS
+        assert err <= NEAR_IDENTITY_ABS * EPS
+
+
+def test_subnormal_trace_has_its_complex_log():
+    # eigenvalues +-1e-8 i: the log is (-18.42, -pi/2; pi/2, -18.42)
+    x = Mat2(5e-324, -1e-8, 1e-8, 0.0)
+    err, norm = _errors(x)
+    assert err <= K * EPS * norm
