@@ -15,7 +15,7 @@ import io
 import json
 import re
 
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cosserat2d import errors
 from cosserat2d.cli import MAX_ROWS, main
@@ -23,8 +23,7 @@ from cosserat2d.cli import MAX_ROWS, main
 #: Any double, or one of the moderate nonnegative values most inputs need to be valid.
 DOUBLES = (st.floats() | st.floats(min_value=0.0, max_value=4.0)).map(repr)
 
-FUZZ = settings(max_examples=300, derandomize=True, deadline=None,
-                suppress_health_check=[HealthCheck.too_slow])
+FUZZ = settings(max_examples=300, derandomize=True, deadline=None)
 
 #: A traceback, an errno tuple, or the name of a built-in or package exception class.
 PYTHON_TEXT = re.compile(r"Traceback|\(\d+, '|\b(%s)\b" % "|".join(
