@@ -29,6 +29,7 @@ from .planar import (
     Mat2,
     SingularPair,
     TraceInvariants,
+    _isfinite,
     _polar_angle,
     _transpose_times,
     cofactor_transform,
@@ -107,9 +108,11 @@ def _checked_microstretch(r: Mat2, f: Mat2) -> tuple[float, float, float, float]
     # the entries of R^T F, after checking R in SO(2) and F in GL+(2); raises
     # OverflowError where an entry is beyond the floating-point range
     require_rotation(r)
-    require_gl_plus(f)
-    x = _transpose_times(r, f)
-    if not all(map(math.isfinite, x)):
+    if f._checked_invariants is None:
+        # F is immutable and stores its invariants only once require_gl_plus passed
+        require_gl_plus(f)
+    x = x11, x12, x21, x22 = _transpose_times(r, f)
+    if not (_isfinite(x11) and _isfinite(x12) and _isfinite(x21) and _isfinite(x22)):
         raise OverflowError(f"R^T F has an entry beyond the floating-point range: {x!r}")
     return x
 
@@ -217,7 +220,7 @@ class EnergyLevels(NamedTuple):
 
 def critical_energy_levels(f: Mat2) -> EnergyLevels:
     inv = trace_invariants(f)
-    return EnergyLevels(*_critical_levels(inv.tr_u, inv.det_f, inv.frob_f))
+    return EnergyLevels._make(_critical_levels(inv.tr_u, inv.det_f, inv.frob_f))
 
 
 def _critical_levels(tr_u: float, det_f: float, frob_f: float):
@@ -248,7 +251,7 @@ def _optimal_angles(inv: TraceInvariants, w: Weights):
     # non-classical weights, and the polar angle otherwise.
     alpha_p = _polar_angle(inv.tr_f, inv.tr_jf)
     if w.regime is _REGIME_NON_CLASSICAL:
-        beta, pair = _pitchfork(inv.tr_u, w.singular_radius(), alpha_p)
+        beta, pair = _pitchfork(inv.tr_u, w._radius, alpha_p)
         if pair:
             return _BRANCH_PITCHFORK, pair, beta
     return _BRANCH_CLASSICAL, (alpha_p,), 0.0
@@ -272,12 +275,12 @@ def reduced_energy(f: Mat2, w: Weights) -> ReducedEnergy:
     """
     inv = trace_invariants(f)
     if w.regime is _REGIME_CLASSICAL:
-        return ReducedEnergy(
-            w.mu * (inv.frob_f**2 - 2.0 * inv.tr_u + 2.0), _BRANCH_CLASSICAL
+        return ReducedEnergy._make(
+            (w.mu * (inv.frob_f**2 - 2.0 * inv.tr_u + 2.0), _BRANCH_CLASSICAL)
         )
     branch, angles, _ = _optimal_angles(inv, w)
     value = _energy_at(angles[0], f.e11, f.e12, f.e21, f.e22, w.mu, w.muc)
-    return ReducedEnergy(value, branch)
+    return ReducedEnergy._make((value, branch))
 
 
 def reduced_energy_sv(pair: SingularPair | tuple[float, float]) -> float:

@@ -75,7 +75,7 @@ def critical_set(f: Mat2) -> CriticalSet:
     alpha_p = polar_angle(f)
     pair = (alpha_p, normalize_angle(alpha_p + math.pi))
     _, nonclassical = _pitchfork(inv.tr_u, 2.0, alpha_p)
-    return CriticalSet(pair, nonclassical, critical_energy_levels(f))
+    return CriticalSet._make((pair, nonclassical, critical_energy_levels(f)))
 
 
 def relative_rotation_magnitude(tr_u: float, w: Weights) -> float:
@@ -97,7 +97,7 @@ def optimal_set(f: Mat2, w: Weights) -> MinimizerSet:
     """
     branch, angles, beta = _optimal_angles(trace_invariants(f), w)
     value = shear_stretch_energy(rotation(angles[0]), f, w)
-    return MinimizerSet(branch, angles, value, beta)
+    return MinimizerSet._make((branch, angles, value, beta))
 
 
 def stationarity_residual(alpha: float, f: Mat2, w: Weights = _ZERO_COUPLE) -> float:

@@ -19,6 +19,9 @@ from .errors import NonPositiveDeterminant, NotARotation
 # Tolerance for SO(2) membership: orthogonality defect and |det - 1|.
 ROTATION_TOL = 1e-12
 
+# bound once for the per-call paths: a module global is one lookup, math.x two
+_TAU, _PI, _remainder, _isfinite = math.tau, math.pi, math.remainder, math.isfinite
+
 
 def normalize_angle(radians: float) -> float:
     """Map an angle to the half-open interval (-pi, pi].
@@ -26,9 +29,9 @@ def normalize_angle(radians: float) -> float:
     The boundary is resolved in favor of +pi, so normalization is
     idempotent and pi is always preferred over -pi.
     """
-    a = math.remainder(float(radians), math.tau)
-    if a <= -math.pi:
-        a += math.tau
+    a = _remainder(float(radians), _TAU)
+    if a <= -_PI:
+        a += _TAU
     return a
 
 
@@ -37,11 +40,8 @@ def circular_distance(a: float, b: float) -> float:
     return abs(normalize_angle(a - b))
 
 
-def _finite_entry(name: str, value) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"matrix entry {name} must be finite, got {value!r}")
-    return value
+def _entry_error(name: str, value: float) -> ValueError:
+    return ValueError(f"matrix entry {name} must be finite, got {value!r}")
 
 
 class _StoredInvariants:
@@ -67,10 +67,18 @@ class Mat2(_StoredInvariants):
 
     def __init__(self, e11: float, e12: float, e21: float, e22: float):
         # Entries are converted and checked in order, so the first bad one is named.
-        _set_e11(self, _finite_entry("e11", e11))
-        _set_e12(self, _finite_entry("e12", e12))
-        _set_e21(self, _finite_entry("e21", e21))
-        _set_e22(self, _finite_entry("e22", e22))
+        if not _isfinite(e11 := float(e11)):
+            raise _entry_error("e11", e11)
+        if not _isfinite(e12 := float(e12)):
+            raise _entry_error("e12", e12)
+        if not _isfinite(e21 := float(e21)):
+            raise _entry_error("e21", e21)
+        if not _isfinite(e22 := float(e22)):
+            raise _entry_error("e22", e22)
+        _set_e11(self, e11)
+        _set_e12(self, e12)
+        _set_e21(self, e21)
+        _set_e22(self, e22)
         _set_checked_invariants(self, None)
 
     def __reduce__(self):
@@ -159,7 +167,10 @@ def _transpose_times(r: Mat2, x: Mat2) -> tuple[float, float, float, float]:
 def rotation_defect(r: Mat2) -> float:
     """Frobenius norm of R^T R - identity (orthogonality defect)."""
     g11, g12, g21, g22 = _transpose_times(r, r)
-    return math.sqrt((g11 - 1.0) ** 2 + g12**2 + g21**2 + (g22 - 1.0) ** 2)
+    try:
+        return math.sqrt((g11 - 1.0) ** 2 + g12**2 + g21**2 + (g22 - 1.0) ** 2)
+    except OverflowError:  # R^T R is finite but a square of it is not
+        return math.inf
 
 
 def require_rotation(r: Mat2) -> Mat2:
@@ -174,7 +185,16 @@ def require_rotation(r: Mat2) -> Mat2:
 def rotation(alpha: float) -> Mat2:
     """Counterclockwise rotation by alpha radians."""
     c, s = math.cos(alpha), math.sin(alpha)
-    return Mat2(c, -s, s, c)
+    if not _isfinite(c):  # a NaN angle; math raised already for +-inf
+        return Mat2(c, -s, s, c)
+    # a finite angle gives entries in [-1, 1], which pass Mat2's checks as they are
+    r = object.__new__(Mat2)
+    _set_e11(r, c)
+    _set_e12(r, -s)
+    _set_e21(r, s)
+    _set_e22(r, c)
+    _set_checked_invariants(r, None)
+    return r
 
 
 class TraceInvariants(NamedTuple):

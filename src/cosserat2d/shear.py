@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .energy import _critical_levels, _energy_at, _pitchfork
-from .planar import Mat2, _finite_entry, _invariants, _polar_angle
+from .planar import Mat2, _entry_error, _invariants, _isfinite, _polar_angle
 from .weights import _ZERO_COUPLE
 
 _RHO = _ZERO_COUPLE.singular_radius()
@@ -44,7 +44,8 @@ def shear_solution(gamma: float) -> ShearSolution:
     tr U = sqrt(4 + gamma^2) >= 2 = rho, so the pitchfork branch applies;
     the operations are those of optimal_set, so the results are identical.
     """
-    gamma = _finite_entry("e12", gamma)  # the check Mat2 makes on simple_shear(gamma)
+    if not _isfinite(gamma := float(gamma)):  # the check Mat2 makes on simple_shear(gamma)
+        raise _entry_error("e12", gamma)
     tr_f, tr_jf, tr_u, _, _ = _invariants(1.0, gamma, 0.0, 1.0)
     alpha_p = _polar_angle(tr_f, tr_jf)
     _, pair = _pitchfork(tr_u, _RHO, alpha_p)

@@ -10,12 +10,11 @@ unique minimizer.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import RequiresNonClassical
-from .planar import Mat2, require_gl_plus
+from .planar import Mat2, _isfinite, require_gl_plus
 
 
 class Regime(enum.Enum):
@@ -32,9 +31,9 @@ _REGIME_NON_CLASSICAL = Regime.NON_CLASSICAL
 
 
 class _DerivedWeights:
-    # Slots outside the dataclass fields, fixed by Weights.__init__: the
-    # regime and, for a non-classical pair, the scaling parameter (else None).
-    __slots__ = ("regime", "_scaling")
+    # Slots outside the dataclass fields, fixed by Weights.__init__: the regime and,
+    # for a non-classical pair, the scaling parameter and singular radius (else None).
+    __slots__ = ("regime", "_scaling", "_radius")
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -50,18 +49,20 @@ class Weights(_DerivedWeights):
 
     def __init__(self, mu: float, muc: float = 0.0):
         mu_f, muc_f = float(mu), float(muc)
-        if not (math.isfinite(mu_f) and mu_f > 0.0):
+        if not (_isfinite(mu_f) and mu_f > 0.0):
             raise ValueError(f"mu must be finite and positive, got {mu!r}")
-        if not (math.isfinite(muc_f) and muc_f >= 0.0):
+        if not (_isfinite(muc_f) and muc_f >= 0.0):
             raise ValueError(f"muc must be finite and nonnegative, got {muc!r}")
         _set_mu(self, mu_f)
         _set_muc(self, muc_f)
         if muc_f >= mu_f:
             _set_regime(self, _REGIME_CLASSICAL)
             _set_scaling(self, None)
+            _set_radius(self, None)
         else:
             _set_regime(self, _REGIME_NON_CLASSICAL)
-            _set_scaling(self, mu_f / (mu_f - muc_f))
+            _set_scaling(self, lam := mu_f / (mu_f - muc_f))
+            _set_radius(self, 2.0 * lam)
 
     def __reduce__(self):
         # pickle and copy rebuild through __init__, which fixes the derived slots
@@ -81,13 +82,15 @@ class Weights(_DerivedWeights):
         Kept as exactly twice the scaling parameter so the bifurcation
         predicate is bit-identical everywhere it is evaluated.
         """
-        return 2.0 * self.scaling()
+        self.scaling()  # raises RequiresNonClassical for a classical pair
+        return self._radius
 
 
 # The slot descriptors' setters store past the frozen __setattr__.
 _set_mu, _set_muc = (Weights.__dict__[name].__set__ for name in ("mu", "muc"))
 _set_regime = _DerivedWeights.regime.__set__
 _set_scaling = _DerivedWeights._scaling.__set__
+_set_radius = _DerivedWeights._radius.__set__
 
 # The zero-couple-modulus limit pair, onto which non-classical pairs reduce.
 _ZERO_COUPLE = Weights(1.0, 0.0)

@@ -12,7 +12,9 @@ from cosserat2d import (
     Branch,
     LogUndefined,
     Mat2,
+    NonPositiveDeterminant,
     NonPositiveSingularValue,
+    NotARotation,
     Weights,
     constants_chain,
     critical_energy_levels,
@@ -139,6 +141,27 @@ class TestShearStretchEnergy:
                        lambda r, f, w: ring_energy(r, f), log_strain_energy):
             with pytest.raises(OverflowError, match=r"^R\^T F has an entry beyond"):
                 energy(r, f, w)
+
+    def test_overflowing_rotation_defect_in_every_checked_function(self):
+        # R^T R = diag(1e200, 1e200) is finite, its squares are not: the defect is
+        # inf, so R is no rotation, with no OverflowError from the check itself
+        r, f, w = Mat2.diagonal(1e100, 1e100), Mat2(3.0, 0.5, -0.2, 1.0), Weights(1.0, 0.2)
+        for energy in (shear_stretch_energy, energy_expanded, rescaled_energy,
+                       lambda r, f, w: ring_energy(r, f), log_strain_energy):
+            with pytest.raises(NotARotation, match="defect inf"):
+                energy(r, f, w)
+
+    def test_gl_plus_verdict_stored_or_not(self):
+        # the checked energies skip require_gl_plus for an F that stores its
+        # invariants; an F outside GL+(2) stores none and raises on every call
+        r, w = rotation(0.4), Weights(1.0, 0.2)
+        fresh, used = Mat2(3.0, 0.5, -0.2, 1.0), Mat2(3.0, 0.5, -0.2, 1.0)
+        trace_invariants(used)
+        assert shear_stretch_energy(r, fresh, w) == shear_stretch_energy(r, used, w)
+        assert fresh._checked_invariants is None
+        for _ in range(2):
+            with pytest.raises(NonPositiveDeterminant):
+                shear_stretch_energy(r, Mat2.diagonal(1.0, -1.0), w)
 
     @pytest.mark.parametrize("f, w", [
         (Mat2.diagonal(1e155, 1.0), Weights(1.0, 0.5)),  # (x11 - 1)^2 overflows

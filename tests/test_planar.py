@@ -133,9 +133,11 @@ class TestMat2:
             require_rotation(Mat2.diagonal(1.0, -1.0))  # reflection
         with pytest.raises(NotARotation):
             require_rotation(Mat2.diagonal(2.0, 0.5))
-        # R^T R overflows to inf: a rotation failure, not an error about a hidden entry
-        with pytest.raises(NotARotation, match="defect inf"):
-            require_rotation(Mat2.diagonal(1e200, 1e200))
+        # R^T R overflows to inf, or only its squares do: a rotation failure, not an
+        # error about a hidden entry
+        for big in (1e100, 1e200):
+            with pytest.raises(NotARotation, match="defect inf"):
+                require_rotation(Mat2.diagonal(big, big))
 
     def test_rotation_defect_matches_matrix_product(self):
         def via_mat2(r):
@@ -298,6 +300,25 @@ class TestRotation:
         r = rotation(a)
         assert rotation_defect(r) <= 1e-15
         assert abs(r.det() - 1.0) <= 1e-15
+
+    def test_is_the_checked_mat2_of_cos_and_sin(self):
+        # rotation builds past Mat2's checks for a finite angle; pin that it builds
+        # the same value, field for field, with nothing stored
+        rng = np.random.default_rng(20261020)
+        angles = [0.0, -0.0, math.pi, -math.pi, 1e300, *rng.uniform(-10.0, 10.0, 200)]
+        for a in angles:
+            r = rotation(a)
+            c, s = math.cos(a), math.sin(a)
+            assert type(r) is Mat2
+            assert [v.hex() for v in r.entries()] == [v.hex() for v in (c, -s, s, c)]
+            assert r == Mat2(c, -s, s, c) and r._checked_invariants is None
+
+    def test_non_finite_angle(self):
+        with pytest.raises(ValueError, match="matrix entry e11 must be finite, got nan"):
+            rotation(math.nan)
+        for a in (math.inf, -math.inf):
+            with pytest.raises(ValueError, match="math domain error"):
+                rotation(a)
 
 
 class TestCofactorTransform:

@@ -111,8 +111,12 @@ class TestWeightsValue:
         if w.regime is Regime.CLASSICAL:
             with pytest.raises(RequiresNonClassical):
                 c.scaling()
+            with pytest.raises(RequiresNonClassical):
+                c.singular_radius()
         else:
             assert c.scaling() == w.scaling()
+            # the stored radius keeps the bits of twice the scaling parameter
+            assert c.singular_radius().hex() == (2.0 * w.scaling()).hex()
 
     def test_replace_fixes_the_new_regime(self):
         w = dataclasses.replace(Weights(2.0, 0.5), muc=3.0)

@@ -61,6 +61,12 @@ class TestShearSolution:
         )
         assert ShearSolution._field_defaults == {}
 
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf, "1e400"])
+    def test_rejects_what_simple_shear_rejects(self, gamma):
+        for call in (simple_shear, shear_solution):
+            with pytest.raises(ValueError, match=r"^matrix entry e12 must be finite, got"):
+                call(gamma)
+
     def test_gamma_two(self):
         sol = shear_solution(2.0)
         assert sol.alpha_p == pytest.approx(-math.pi / 4.0, abs=1e-14)
