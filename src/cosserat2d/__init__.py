@@ -14,21 +14,15 @@ from .bruteforce import (
 )
 from .energy import (
     Branch,
-    ConstantsChain,
     EnergyLevels,
     ReducedEnergy,
-    RingEnergy,
     cofactor_shear_profile,
-    constants_chain,
     critical_energy_levels,
-    energy_expanded,
     log_strain_energy,
     log_strain_profile,
     matrix_log_2x2,
     reduced_energy,
     reduced_energy_sv,
-    rescaled_energy,
-    ring_energy,
     shear_stretch_energy,
     shear_stretch_profile,
 )
@@ -83,7 +77,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Branch",
-    "ConstantsChain",
     "CriticalSet",
     "EnergyLevels",
     "GridResult",
@@ -101,7 +94,6 @@ __all__ = [
     "ReductionData",
     "Regime",
     "RequiresNonClassical",
-    "RingEnergy",
     "ShearSolution",
     "SingularPair",
     "TraceInvariants",
@@ -110,10 +102,8 @@ __all__ = [
     "circular_distance",
     "cofactor_shear_profile",
     "cofactor_transform",
-    "constants_chain",
     "critical_energy_levels",
     "critical_set",
-    "energy_expanded",
     "grid_minimize",
     "log_strain_energy",
     "log_strain_profile",
@@ -128,8 +118,6 @@ __all__ = [
     "relative_rotation_magnitude",
     "require_gl_plus",
     "require_rotation",
-    "rescaled_energy",
-    "ring_energy",
     "rotation",
     "shear_solution",
     "shear_stretch_energy",

@@ -193,7 +193,7 @@ def _parabolic_polish(energy, x: float, fx: float) -> tuple[float, float]:
     # better angle even when its value reads a little above fx. Accepting
     # only f_candidate <= fx leaves Brent's angle in place, and the suite's
     # oracle_self_consistency (grid_n against 2 * grid_n) then reads up to
-    # 4e-8 against its 1e-8 tolerance (seeds 1 to 3, 5 samples).
+    # 3.1e-8 against its 1e-8 tolerance (seeds 2 and 3, 5 samples).
     if f_candidate <= fx + CLUSTER_VALUE_TOL:
         return candidate, f_candidate
     return x, fx

@@ -1,16 +1,15 @@
 """Energy functionals of the planar shear-stretch minimization problem.
 
 The primary functional weights the symmetric and skew parts of the
-microstrain R^T F - 1 by mu and muc. Algebraically equivalent forms
-(expanded trace polynomial, trace-only form plus a rotation-independent
-constant, rescaled form) are kept because their mutual agreement is part
-of the verification contract, with the reduced (minimized-over-rotations)
-energies and a variant built on the principal matrix logarithm. The
-cofactor variant is the shear-stretch energy of cof F and has no formula
-of its own. The sym/skew norm itself is written once, squaring by products,
-for the checked energies, the profiles and the log. All identities are
-expressed through t = tr(R^T F); dimension-specific constants use
-||identity||^2 = 2.
+microstrain R^T F - 1 by mu and muc. With it live the reduced
+(minimized-over-rotations) energies and a variant built on the principal
+matrix logarithm. The cofactor variant is the shear-stretch energy of cof F
+and has no formula of its own. The sym/skew norm itself is written once,
+squaring by products, for the checked energies, the profiles and the log.
+The identities the closed forms rest on (the expanded trace form, the ring
+split, the factored derivative, the rescaling offset) are proved in exact
+arithmetic by the test suite, not restated here; all of them are expressed
+through t = tr(R^T F), and dimension-specific constants use ||identity||^2 = 2.
 
 It also holds the unvalidated float cores that minimizers and shear share:
 microstretch, energy at an angle, critical levels, pitchfork, optimal angles.
@@ -127,81 +126,6 @@ def shear_stretch_energy(r: Mat2, f: Mat2, w: Weights) -> float:
     """
     x11, x12, x21, x22 = _checked_microstretch(r, f)
     return _sym_skew_energy(x11, x12, x21, x22, w.mu, w.muc, 1.0)
-
-
-def energy_expanded(r: Mat2, f: Mat2, w: Weights) -> float:
-    """Expanded trace-polynomial form of the shear-stretch energy.
-
-    (mu-muc)/2 * tr((R^T F)^2) - 2 mu tr(R^T F) + (mu+muc)/2 ||F||^2 + 2 mu.
-    Agrees with shear_stretch_energy identically; kept separate so the
-    identity can be tested rather than assumed.
-    """
-    x11, x12, x21, x22 = _checked_microstretch(r, f)
-    tr_x = x11 + x22
-    tr_x_sq = x11**2 + 2.0 * x12 * x21 + x22**2  # tr(X @ X)
-    return (
-        0.5 * (w.mu - w.muc) * tr_x_sq
-        - 2.0 * w.mu * tr_x
-        + 0.5 * (w.mu + w.muc) * f.frobenius_sq()
-        + 2.0 * w.mu
-    )
-
-
-class RingEnergy(NamedTuple):
-    wring: float
-    cring: float
-
-
-def ring_energy(r: Mat2, f: Mat2) -> RingEnergy:
-    """Split of the zero-couple-modulus energy into a part depending on R
-
-    only through t = tr(R^T F), namely t^2/2 - 2t, plus the constant
-    ||F||^2/2 - det F + 2. Their sum is shear_stretch_energy(r, f, (1, 0)).
-    """
-    x11, _, _, x22 = _checked_microstretch(r, f)
-    t = x11 + x22
-    wring = 0.5 * t * t - 2.0 * t
-    cring = 0.5 * f.frobenius_sq() - f.det() + 2.0
-    return RingEnergy(wring, cring)
-
-
-def rescaled_energy(r: Mat2, f: Mat2, w: Weights) -> float:
-    """The shear-stretch energy scaled by (singular radius / mu).
-
-    Defined for non-classical weights only. Affinely related to the
-    zero-couple-modulus rescaled energy of the shrunk gradient:
-    value = lam^2 * rescaled_energy(r, ftilde, (1,0)) + c4(f), with c4
-    independent of the rotation (see constants_chain).
-    """
-    rho = w.singular_radius()
-    return (rho / w.mu) * shear_stretch_energy(r, f, w)
-
-
-class ConstantsChain(NamedTuple):
-    c1: float
-    c2: float
-    c3: float
-    c4: float
-
-
-def constants_chain(f: Mat2, w: Weights) -> ConstantsChain:
-    """Rotation-independent constants of the reduction to the limit case.
-
-    c1 = (mu+muc)/2 ||F||^2 + 2 mu, c2 = (rho/mu) c1, c3 = c2 - rho^2,
-    c4 = c3 - lam^2 * c3_of_limit_case(ftilde). c4 is the offset in the
-    affine relation documented at rescaled_energy.
-    """
-    require_gl_plus(f)
-    rho = w.singular_radius()
-    lam = w.scaling()
-    frob_sq = f.frobenius_sq()
-    c1 = 0.5 * (w.mu + w.muc) * frob_sq + 2.0 * w.mu
-    c2 = (rho / w.mu) * c1
-    c3 = c2 - rho * rho
-    ftilde_frob_sq = frob_sq / (lam * lam)
-    c3_limit = 2.0 * (0.5 * ftilde_frob_sq + 2.0) - 4.0
-    c4 = c3 - lam * lam * c3_limit
-    return ConstantsChain(c1, c2, c3, c4)
 
 
 class EnergyLevels(NamedTuple):

@@ -4,12 +4,13 @@ Every test prints a single PASS/FAIL line (run with `pytest -s` to stream
 them). Sample counts, tolerances and runtime budgets are pinned here;
 seeds are fixed so the suite is reproducible run to run.
 
-Criteria 3, 7, 9 and 10 run the `verify` suite's own registered property
-definitions (`selfcheck.PROPERTIES`) through `Property.worst`, with their
-own seeds, case counts, grid sizes and tolerances. A case whose oracle
-finds the wrong number of minima or roots has residual inf, and a NaN
-residual fails too. The other criteria are stricter than their `verify`
-counterparts or laid out differently, and keep their own loops.
+Criteria 3 (its argmin half), 7, 9 and 10 run the `verify` suite's own
+registered property definitions (`selfcheck.PROPERTIES`) through
+`Property.worst`, with their own seeds, case counts, grid sizes and
+tolerances. A case whose oracle finds the wrong number of minima or roots
+has residual inf, and a NaN residual fails too. The other criteria are
+stricter than their `verify` counterparts or laid out differently, and
+keep their own loops.
 
 Where a criterion compares closed-form angle sets against the brute-force
 grid, sampled cases whose stretch trace falls within a 1e-3 relative band
@@ -37,9 +38,11 @@ from cosserat2d import (
     polar_angle,
     reduced_energy,
     reduced_energy_sv,
+    reduction_data,
     relative_rotation_magnitude,
     rotation,
     shear_solution,
+    shear_stretch_energy,
     shear_stretch_profile,
     singular_values,
     trace_invariants,
@@ -49,7 +52,9 @@ from cosserat2d.selfcheck import (
     random_classical_weights,
     random_gl_plus,
     random_nonclassical_case,
+    random_rotation,
 )
+from test_identities import c4
 
 LIMIT = Weights(1.0, 0.0)
 BIFURCATION_GAP = 1e-3
@@ -117,14 +122,26 @@ def test_criterion_2_nonclassical_closed_form():
 def test_criterion_3_parameter_reduction():
     rng = np.random.default_rng([3, 20260810])
     angle = PROPERTIES["argmin_transport_to_limit_case"].worst(rng, 200, grid_n=2048)
-    # max(10 * spread, offset) < 1e-9 is spread < 1e-10 and offset < 1e-9
-    offset = PROPERTIES["affine_offset_constancy"].worst(rng, 200)
-    ok = angle < 1e-6 and offset < 1e-9
+    # the rescaled energy (rho/mu) W(F) less lam^2 times the limit case's (2/1) W(F/lam)
+    # is the rotation-independent c4 that tests/test_identities.py proves
+    spread = offset = 0.0
+    for _ in range(200):
+        f, w = random_nonclassical_case(rng)
+        data = reduction_data(f, w)
+        offsets = [
+            data.rho / w.mu * shear_stretch_energy(r, f, w)
+            - data.lam**2 * 2.0 * shear_stretch_energy(r, data.ftilde, LIMIT)
+            for r in (random_rotation(rng) for _ in range(100))
+        ]
+        top, bottom = max(offsets), min(offsets)
+        spread = max(spread, top - bottom)
+        offset = max(offset, abs(0.5 * (top + bottom) - c4(f.frobenius_sq(), w.mu, w.muc)))
+    ok = angle < 1e-6 and spread < 1e-10 and offset < 1e-9
     report(
         3,
         "parameter reduction transports argmin and offset",
         ok,
-        f"angle {angle:.2e}, offset and 10x spread {offset:.2e}",
+        f"angle {angle:.2e}, offset spread {spread:.2e}, offset from c4 {offset:.2e}",
     )
 
 

@@ -663,6 +663,18 @@ class TestVerify:
         with pytest.raises(ValueError, match="samples must be at least 1"):
             selfcheck.run_suite(samples=samples)
 
+    def test_dropping_a_property_leaves_every_other_result(self, monkeypatch):
+        # each property draws from a stream keyed by its own name, so removing
+        # one drops its line and leaves every other line's bits as they were
+        def suite():
+            return {r.name: repr(r) for r in selfcheck.run_suite(seed=5, samples=3, grid_n=360)}
+
+        full, registered = suite(), dict(selfcheck.PROPERTIES)
+        for dropped in registered:
+            fewer = {name: p for name, p in registered.items() if name != dropped}
+            monkeypatch.setattr(selfcheck, "PROPERTIES", fewer)
+            assert suite() == {name: line for name, line in full.items() if name != dropped}
+
     def test_worst_rejects_no_cases(self):
         prop = selfcheck.PROPERTIES["closed_form_vs_oracle"]
         with pytest.raises(ValueError, match="^cases must be at least 1, got 0$"):

@@ -1,4 +1,4 @@
-"""Tests for the energy functionals and their algebraic identities."""
+"""Tests for the energy functionals; their algebraic identities are proved in test_identities."""
 
 import math
 import warnings
@@ -16,9 +16,7 @@ from cosserat2d import (
     NonPositiveSingularValue,
     NotARotation,
     Weights,
-    constants_chain,
     critical_energy_levels,
-    energy_expanded,
     log_strain_energy,
     log_strain_profile,
     matrix_log_2x2,
@@ -26,8 +24,6 @@ from cosserat2d import (
     polar_decompose,
     reduced_energy,
     reduced_energy_sv,
-    rescaled_energy,
-    ring_energy,
     rotation,
     shear_stretch_energy,
     shear_stretch_profile,
@@ -50,7 +46,6 @@ from cosserat2d.selfcheck import (
     random_rotation,
 )
 from cosserat2d.shear import simple_shear
-from cosserat2d.weights import reduction_data
 from record_checks import check_record
 
 LIMIT = Weights(1.0, 0.0)
@@ -86,15 +81,6 @@ class TestShearStretchEnergy:
     def test_matches_matrix_product(self):
         # R^T F from entries must keep the bits of the Mat2 transpose-and-multiply
         # route, in every checked function that forms it
-        def expanded(x, f, w):
-            tr_x_sq = x.e11**2 + 2.0 * x.e12 * x.e21 + x.e22**2
-            return (0.5 * (w.mu - w.muc) * tr_x_sq - 2.0 * w.mu * x.trace()
-                    + 0.5 * (w.mu + w.muc) * f.frobenius_sq() + 2.0 * w.mu)
-
-        def ring(x, f, w):
-            t = x.trace()
-            return (0.5 * t * t - 2.0 * t, 0.5 * f.frobenius_sq() - f.det() + 2.0)
-
         def log_strain(x, f, w):
             lg = matrix_log_2x2(x)
             return _sym_skew_energy(lg.e11, lg.e12, lg.e21, lg.e22, w.mu, w.muc, 0.0)
@@ -102,8 +88,6 @@ class TestShearStretchEnergy:
         routes = [
             (shear_stretch_energy,
              lambda x, f, w: _sym_skew_energy(x.e11, x.e12, x.e21, x.e22, w.mu, w.muc, 1.0)),
-            (energy_expanded, expanded),
-            (lambda r, f, w: ring_energy(r, f), ring),
             (log_strain_energy, log_strain),
         ]
 
@@ -137,8 +121,7 @@ class TestShearStretchEnergy:
         x21 = r.e12 * f.e11 + r.e22 * f.e21
         defect = abs(signed_defect_profile(f)(math.pi / 4.0))
         assert defect == abs(0.5 * (x12 - x21)) == pytest.approx(3.5e299, rel=0.02)
-        for energy in (shear_stretch_energy, energy_expanded,
-                       lambda r, f, w: ring_energy(r, f), log_strain_energy):
+        for energy in (shear_stretch_energy, log_strain_energy):
             with pytest.raises(OverflowError, match=r"^R\^T F has an entry beyond"):
                 energy(r, f, w)
 
@@ -146,8 +129,7 @@ class TestShearStretchEnergy:
         # R^T R = diag(1e200, 1e200) is finite, its squares are not: the defect is
         # inf, so R is no rotation, with no OverflowError from the check itself
         r, f, w = Mat2.diagonal(1e100, 1e100), Mat2(3.0, 0.5, -0.2, 1.0), Weights(1.0, 0.2)
-        for energy in (shear_stretch_energy, energy_expanded, rescaled_energy,
-                       lambda r, f, w: ring_energy(r, f), log_strain_energy):
+        for energy in (shear_stretch_energy, log_strain_energy):
             with pytest.raises(NotARotation, match="defect inf"):
                 energy(r, f, w)
 
@@ -211,70 +193,6 @@ class TestShearStretchEnergy:
             assert value >= 0.0
 
 
-class TestExpandedForm:
-    def test_matches_defining_form(self):
-        rng = np.random.default_rng([20260811, 2])
-        for _ in range(1000):
-            f = random_gl_plus(rng)
-            r = random_rotation(rng)
-            w = random_weights(rng)
-            assert energy_expanded(r, f, w) == pytest.approx(
-                shear_stretch_energy(r, f, w), rel=1e-10, abs=1e-12
-            )
-
-    def test_equal_weights_reduce_to_frobenius_misfit(self):
-        rng = np.random.default_rng([20260811, 3])
-        for _ in range(200):
-            f = random_gl_plus(rng)
-            r = random_rotation(rng)
-            x = r.transpose() @ f - Mat2.identity()
-            assert energy_expanded(r, f, Weights(1.0, 1.0)) == pytest.approx(
-                x.frobenius_sq(), rel=1e-10, abs=1e-12
-            )
-
-    def test_trivial(self):
-        assert energy_expanded(Mat2.identity(), Mat2.identity(), LIMIT) == pytest.approx(0.0, abs=1e-15)
-
-
-class TestRingEnergy:
-    def test_decomposition(self):
-        rng = np.random.default_rng([20260811, 4])
-        for _ in range(500):
-            f = random_gl_plus(rng)
-            r = random_rotation(rng)
-            ring = ring_energy(r, f)
-            assert ring.wring + ring.cring == pytest.approx(
-                shear_stretch_energy(r, f, LIMIT), rel=1e-10, abs=1e-12
-            )
-
-    def test_constant_term_in_stretch_trace(self):
-        rng = np.random.default_rng([20260811, 5])
-        for _ in range(100):
-            f = random_gl_plus(rng)
-            inv = trace_invariants(f)
-            ring = ring_energy(random_rotation(rng), f)
-            assert ring.cring == pytest.approx(
-                0.5 * inv.tr_u**2 - 2.0 * inv.det_f + 2.0, rel=1e-12
-            )
-
-    def test_critical_values(self):
-        rng = np.random.default_rng([20260811, 6])
-        for _ in range(100):
-            f = random_gl_plus(rng)
-            inv = trace_invariants(f)
-            rot_polar = polar_decompose(f).rotation
-            at_polar = ring_energy(rot_polar, f).wring
-            assert at_polar == pytest.approx(0.5 * inv.tr_u**2 - 2.0 * inv.tr_u, rel=1e-10)
-            at_opposite = ring_energy(-1.0 * rot_polar, f).wring
-            assert at_opposite == pytest.approx(0.5 * inv.tr_u**2 + 2.0 * inv.tr_u, rel=1e-10)
-
-    def test_value_on_trace_two_level_set(self):
-        # any rotation with tr(R^T F) = 2 sits on the level -2
-        f = Mat2.diagonal(3.0, 1.0)
-        r = rotation(math.pi / 3.0)
-        assert ring_energy(r, f).wring == pytest.approx(-2.0, abs=1e-12)
-
-
 class TestExpandingTheSquare:
     def test_identity(self):
         rng = np.random.default_rng([20260811, 7])
@@ -287,67 +205,6 @@ class TestExpandingTheSquare:
             lhs = (shifted @ shifted).trace()
             rhs = (x @ x).trace() - 2.0 * rho * x.trace() + rho * rho * 2.0
             assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
-
-
-class TestRescaledEnergy:
-    def test_zero_couple_modulus_is_doubling(self):
-        rng = np.random.default_rng([20260811, 8])
-        for _ in range(100):
-            f = random_gl_plus(rng)
-            r = random_rotation(rng)
-            assert rescaled_energy(r, f, LIMIT) == pytest.approx(
-                2.0 * shear_stretch_energy(r, f, LIMIT), rel=1e-14
-            )
-
-    def test_affine_relation_offset_is_constant(self):
-        rng = np.random.default_rng([20260811, 9])
-        f = random_gl_plus(rng)
-        w = Weights(1.0, 0.5)
-        data = reduction_data(f, w)
-        offsets = []
-        for _ in range(100):
-            r = random_rotation(rng)
-            lhs = rescaled_energy(r, f, w)
-            rhs = data.lam**2 * rescaled_energy(r, data.ftilde, LIMIT)
-            offsets.append(lhs - rhs)
-        assert max(offsets) - min(offsets) < 1e-10
-
-    def test_trivial(self):
-        assert rescaled_energy(Mat2.identity(), Mat2.identity(), LIMIT) == 0.0
-
-    def test_requires_nonclassical(self):
-        from cosserat2d import RequiresNonClassical
-
-        with pytest.raises(RequiresNonClassical):
-            rescaled_energy(Mat2.identity(), Mat2.identity(), Weights(1.0, 1.0))
-
-
-class TestConstantsChain:
-    def test_identity_zero_couple(self):
-        chain = constants_chain(Mat2.identity(), LIMIT)
-        assert chain == pytest.approx((3.0, 6.0, 2.0, 0.0))
-
-    def test_zero_couple_modulus_self_reduction(self):
-        rng = np.random.default_rng([20260811, 10])
-        for _ in range(100):
-            f = random_gl_plus(rng)
-            assert constants_chain(f, LIMIT).c4 == pytest.approx(0.0, abs=1e-12)
-
-    def test_worked_example(self):
-        chain = constants_chain(Mat2.diagonal(2.0, 1.0), Weights(2.0, 1.0))
-        assert chain.c1 == pytest.approx(11.5)
-
-    def test_c4_matches_empirical_offset(self):
-        rng = np.random.default_rng([20260811, 11])
-        for _ in range(50):
-            f, w = random_nonclassical_case(rng)
-            data = reduction_data(f, w)
-            c4 = constants_chain(f, w).c4
-            r = random_rotation(rng)
-            offset = rescaled_energy(r, f, w) - data.lam**2 * rescaled_energy(
-                r, data.ftilde, LIMIT
-            )
-            assert offset == pytest.approx(c4, abs=1e-9)
 
 
 class TestCriticalEnergyLevels:

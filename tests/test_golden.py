@@ -1,34 +1,21 @@
 """Golden bytes: CLI output and closed-form results pinned by SHA-256.
 
-The digests were recorded before the closed forms moved onto private float
-cores and the table commands onto streamed column-spec emission; these
-tests hold both refactors to bit-identical results. The profile digest was
-recorded before each closed form was reduced to one definition, and holds
-the grid profiles to the same bits. The `verify` digests were recorded
-before the properties moved onto one registry of per-case definitions,
-and hold every residual to the same bits; they were recorded again when
-two properties were appended to the suite, whose earlier checks kept
-their bytes, and again when `cofactor_energy_transport` was removed with
-the cofactor energy, which was the shear-stretch energy of cof F bit for
-bit. That removal dropped its line, lowered the count, and moved
-`log_strain_at_polar_factor` from stream index 29 to 28, where its
-residual is the earlier property run on `default_rng([seed, 28])`; every
-other line kept its bytes. The closed-form digest was recorded again when
-the sym/skew norm came to square every float by a product instead of by
-** through C pow: 7 of its 18,000 lines changed, each only in the last
-digit of an energy (four of `shear_solution`, three of
-`shear_stretch_energy`), with no angle, branch or invariant moved; against
-the exact rational value of the same float entries the new values are
-within 0.59 ulps, the old ones within 1.34. The oracle digest pins the
-grid oracle's own output: its minima, grid step and work counters, and the roots of its
-sign-change scan. All depend on the platform's libm
-(cos, sin, atan2, acos) and, for the profiles, the oracle and `verify`,
-on numpy's own ufunc loops: cos, sin, sqrt, log, log1p and arctan2 on
-arrays of angles, and log, log1p and arctan2 on the single floats of
-refinement and `matrix_log_2x2`, which take cos, sin and sqrt from libm
-through math. `verify` also depends on numpy's eigensolver. So they were
-recorded with CPython 3.11 and numpy 2.4 on x86-64 Linux (glibc,
-AVX-512); another libm, numpy build or CPU may differ in the last bit.
+`CLI_SHA256` pins the bytes each CLI case writes; the `verify` cases pin
+every property's residual on its seeded stream. `CLOSED_FORM_SHA256` pins
+the repr of the public closed forms on seeded inputs, `PROFILE_SHA256` the
+grid profiles and the scalar energies (`profile_lines()` is diffable), and
+`ORACLE_SHA256` the grid oracle's own output: its minima, grid step and
+work counters, and the roots of its sign-change scan. How and why each
+digest was re-pinned is recorded in CHANGES.md.
+
+All depend on the platform's libm (cos, sin, atan2, acos) and, for the
+profiles, the oracle and `verify`, on numpy's own ufunc loops: cos, sin,
+sqrt, log, log1p and arctan2 on arrays of angles, and log, log1p and
+arctan2 on the single floats of refinement and `matrix_log_2x2`, which take
+cos, sin and sqrt from libm through math. `verify` also depends on numpy's
+eigensolver. So they were recorded with CPython 3.11 and numpy 2.4 on
+x86-64 Linux (glibc, AVX-512); another libm, numpy build or CPU may differ
+in the last bit.
 """
 
 import hashlib
@@ -105,7 +92,7 @@ CLI_CASES = {
                           "--format", "json"],
 }
 
-#: SHA-256 of each case's --out file, recorded before the refactors.
+#: SHA-256 of each case's --out file.
 CLI_SHA256 = {
     "sweep_csv": "7c62301964064423a26fd3b3f2a8de0c8f796def8c3a128df0f1810ddabd08b5",
     "sweep_json": "dcaaf9100669a442a4b4d080bea96dc82608a15aab90cb47cf7328b6af9993d8",
@@ -128,9 +115,9 @@ CLI_SHA256 = {
     "critical_no_branch_json": "0d105d22d66df980bb45057cbd246185ac44f78ac37d1c6def5d5435c0731156",
     "energy_levels_csv": "c4f613ac59141dce60409484f4a935e22f18792f97453c7e984482eace1eabb9",
     "energy_levels_json": "0843c3e0f5b51658560aa0881a91015b99290d140aafb5f051e64fc734ec0909",
-    "verify_json": "a1018b61386e817630ea31b742565229354e29b0060c2b59784eaaf15b1b7aae",
-    "verify_text": "92bd7c14629ab5bd2e9cc2199dc955b6e99212cd0c1269ebdefff00004e7ec6b",
-    "verify_seed7_json": "e43f22e0866636a3db89441bc66e4e330c9ae950cc6454f8ca58519ffa6507bd",
+    "verify_json": "cf0ff44f6905486e159258a6b64cd697bc3a51cf2a547f84c13497b90b1de021",
+    "verify_text": "59c392578ab0623a46dc6ca5c999e6e1b25ba1fe277601fe5a7ad2186adadc40",
+    "verify_seed7_json": "f5338cc04ddca761de01cfed8d908a069906903304152293ffeea477b780502d",
 }
 
 

@@ -40,7 +40,7 @@ from cosserat2d.bruteforce import (
 )
 from cosserat2d import energy
 from cosserat2d.energy import UNDEFINED_LOG_ENERGY
-from cosserat2d.selfcheck import PROPERTIES, random_gl_plus, random_nonclassical_case
+from cosserat2d.selfcheck import PROPERTIES, _stream, random_gl_plus, random_nonclassical_case
 from record_checks import check_record
 
 LIMIT = Weights(1.0, 0.0)
@@ -378,9 +378,9 @@ class TestRefinement:
     def test_lenient_polish_keeps_the_oracle_self_consistent(self, seed):
         # run_suite(seed=seed, samples=5)'s oracle_self_consistency case by
         # case; polish accepting only a vertex not above Brent's value fails
-        # these three seeds (residuals 2.0e-8, 1.8e-8 and 4.0e-8)
+        # seeds 2 and 3 (residuals 3.1e-8 and 1.9e-8; seed 1 reads 1.4e-9)
         prop = PROPERTIES["oracle_self_consistency"]
-        rng = np.random.default_rng([seed, list(PROPERTIES).index(prop.name)])
+        rng = _stream(seed, prop.name)
         assert prop.worst(rng, prop.cases(5)) <= prop.tolerance
 
     @pytest.mark.parametrize(
