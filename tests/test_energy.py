@@ -1,4 +1,4 @@
-"""Tests for the energy functionals; their algebraic identities are proved in test_identities."""
+"""Tests for the energy functionals; test_identities proves their algebraic identities, checked here on floats."""
 
 import math
 import warnings
@@ -24,6 +24,7 @@ from cosserat2d import (
     polar_decompose,
     reduced_energy,
     reduced_energy_sv,
+    reduction_data,
     rotation,
     shear_stretch_energy,
     shear_stretch_profile,
@@ -47,12 +48,25 @@ from cosserat2d.selfcheck import (
 )
 from cosserat2d.shear import simple_shear
 from record_checks import check_record
+from test_identities import constants_chain
 
 LIMIT = Weights(1.0, 0.0)
 
 
 def random_weights(rng):
     return Weights(rng.uniform(0.1, 3.0), rng.uniform(0.0, 3.0))
+
+
+def expanded_form(r, f, w):
+    """W in the expanded trace form that tests/test_identities.py proves."""
+    x = r.transpose() @ f
+    return (0.5 * (w.mu - w.muc) * (x @ x).trace() - 2.0 * w.mu * x.trace()
+            + 0.5 * (w.mu + w.muc) * f.frobenius_sq() + 2.0 * w.mu)
+
+
+def rescaled_energy(r, f, w):
+    """(rho/mu) W, the energy rescaled onto the zero-couple limit's form."""
+    return reduction_data(f, w).rho / w.mu * shear_stretch_energy(r, f, w)
 
 
 class TestShearStretchEnergy:
@@ -193,6 +207,31 @@ class TestShearStretchEnergy:
             assert value >= 0.0
 
 
+class TestExpandedForm:
+    def test_matches_defining_form(self):
+        rng = np.random.default_rng([20260811, 2])
+        for _ in range(1000):
+            f = random_gl_plus(rng)
+            r = random_rotation(rng)
+            w = random_weights(rng)
+            assert expanded_form(r, f, w) == pytest.approx(
+                shear_stretch_energy(r, f, w), rel=1e-10, abs=1e-12
+            )
+
+    def test_equal_weights_reduce_to_frobenius_misfit(self):
+        rng = np.random.default_rng([20260811, 3])
+        for _ in range(200):
+            f = random_gl_plus(rng)
+            r = random_rotation(rng)
+            x = r.transpose() @ f - Mat2.identity()
+            assert expanded_form(r, f, Weights(1.0, 1.0)) == pytest.approx(
+                x.frobenius_sq(), rel=1e-10, abs=1e-12
+            )
+
+    def test_trivial(self):
+        assert expanded_form(Mat2.identity(), Mat2.identity(), LIMIT) == pytest.approx(0.0, abs=1e-15)
+
+
 class TestExpandingTheSquare:
     def test_identity(self):
         rng = np.random.default_rng([20260811, 7])
@@ -205,6 +244,40 @@ class TestExpandingTheSquare:
             lhs = (shifted @ shifted).trace()
             rhs = (x @ x).trace() - 2.0 * rho * x.trace() + rho * rho * 2.0
             assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
+
+
+class TestRescaledEnergy:
+    def test_trivial(self):
+        assert rescaled_energy(Mat2.identity(), Mat2.identity(), LIMIT) == 0.0
+
+
+class TestConstantsChain:
+    def test_identity_zero_couple(self):
+        chain = constants_chain(Mat2.identity().frobenius_sq(), LIMIT.mu, LIMIT.muc)
+        assert chain == pytest.approx((3.0, 6.0, 2.0, 0.0))
+
+    def test_zero_couple_modulus_self_reduction(self):
+        rng = np.random.default_rng([20260811, 10])
+        for _ in range(100):
+            f = random_gl_plus(rng)
+            c4 = constants_chain(f.frobenius_sq(), LIMIT.mu, LIMIT.muc)[3]
+            assert c4 == pytest.approx(0.0, abs=1e-12)
+
+    def test_worked_example(self):
+        c1 = constants_chain(Mat2.diagonal(2.0, 1.0).frobenius_sq(), 2.0, 1.0)[0]
+        assert c1 == pytest.approx(11.5)
+
+    def test_c4_matches_empirical_offset(self):
+        rng = np.random.default_rng([20260811, 11])
+        for _ in range(50):
+            f, w = random_nonclassical_case(rng)
+            data = reduction_data(f, w)
+            c4 = constants_chain(f.frobenius_sq(), w.mu, w.muc)[3]
+            r = random_rotation(rng)
+            offset = rescaled_energy(r, f, w) - data.lam**2 * rescaled_energy(
+                r, data.ftilde, LIMIT
+            )
+            assert offset == pytest.approx(c4, abs=1e-9)
 
 
 class TestCriticalEnergyLevels:

@@ -55,8 +55,8 @@ def is_identity(lhs, rhs) -> bool:
     return on_circle(lhs - rhs) == 0
 
 
-def c4(frob_sq_f, mu, muc):
-    """The offset of the rescaled energy, by the constants chain c1 ... c4.
+def constants_chain(frob_sq_f, mu, muc):
+    """The constants chain (c1, c2, c3, c4) down to the rescaled energy's offset.
 
     c1 = (mu + muc)/2 ||F||^2 + 2 mu is W's rotation-independent part,
     c2 = (rho/mu) c1 that of the rescaled energy, c3 = c2 - rho^2, and
@@ -66,9 +66,15 @@ def c4(frob_sq_f, mu, muc):
     lam = mu / (mu - muc)
     rho = 2 * lam
     c1 = (mu + muc) / 2 * frob_sq_f + 2 * mu
-    c3 = rho / mu * c1 - rho**2
+    c2 = rho / mu * c1
+    c3 = c2 - rho**2
     c3_limit = 2 * (frob_sq_f / lam**2 / 2 + 2) - 2**2
-    return c3 - lam**2 * c3_limit
+    return c1, c2, c3, c3 - lam**2 * c3_limit
+
+
+def c4(frob_sq_f, mu, muc):
+    """The offset of the rescaled energy, the last link of the constants chain."""
+    return constants_chain(frob_sq_f, mu, muc)[3]
 
 
 X = rotation_matrix(sp.cos(ALPHA), sp.sin(ALPHA)).T * F
