@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import NonPositiveDeterminant, NotARotation
 
 # Tolerance for SO(2) membership: orthogonality defect and |det - 1|.
@@ -92,9 +90,6 @@ class Mat2(_StoredInvariants):
     @classmethod
     def diagonal(cls, d1: float, d2: float) -> "Mat2":
         return cls(d1, 0.0, 0.0, d2)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.e11, self.e12], [self.e21, self.e22]], dtype=float)
 
     def entries(self) -> tuple[float, float, float, float]:
         return (self.e11, self.e12, self.e21, self.e22)

@@ -166,30 +166,12 @@ def _critical_angles(f: Mat2) -> list[float]:
     return list(cs.classical_pair) + list(cs.nonclassical or ())
 
 
-@_property("cayley_hamilton_trace", 1e-10)
-def _cayley_hamilton(rng, i, grid_n):
-    x = random_unconstrained(rng)
-    return _rel((x @ x).trace(), x.trace() ** 2 - 2.0 * x.det())
-
-
 @_property("stretch_trace_vs_eigensolver", 1e-9)
 def _stretch_trace(rng, i, grid_n):
     f = random_gl_plus(rng)
-    gram = f.as_array().T @ f.as_array()
+    a = np.array([[f.e11, f.e12], [f.e21, f.e22]])
+    gram = a.T @ a
     return abs(trace_invariants(f).tr_u - float(np.sqrt(np.linalg.eigvalsh(gram)).sum()))
-
-
-@_property("trace_pythagoras", 1e-10)
-def _trace_pythagoras(rng, i, grid_n):
-    inv = trace_invariants(random_gl_plus(rng))
-    return _rel(inv.tr_f**2 + inv.tr_jf**2, inv.tr_u**2)
-
-
-@_property("polar_scale_invariance", 1e-12)
-def _polar_scale(rng, i, grid_n):
-    f = random_gl_plus(rng)
-    c = rng.uniform(0.1, 10.0)
-    return circular_distance(polar_angle(f), polar_angle(c * f))
 
 
 @_property("polar_factorization", 1e-10)
@@ -198,23 +180,6 @@ def _polar_factorization(rng, i, grid_n):
     dec = polar_decompose(f)
     residual = dec.rotation @ dec.stretch - f
     return _worst((residual.frobenius_norm(), abs(dec.stretch.e12 - dec.stretch.e21)))
-
-
-@_property("expanding_the_square", 1e-10)
-def _expanding_square(rng, i, grid_n):
-    f = random_gl_plus(rng)
-    r = random_rotation(rng)
-    rho = rng.uniform(0.5, 5.0)
-    x = r.transpose() @ f
-    shifted = x - rho * Mat2.identity()
-    rhs = (x @ x).trace() - 2.0 * rho * x.trace() + rho * rho * 2.0
-    return _rel((shifted @ shifted).trace(), rhs)
-
-
-@_property("level_ordering", 1e-12)
-def _levels(rng, i, grid_n):
-    lv = energy.critical_energy_levels(random_gl_plus(rng))
-    return _worst((lv.w2 - lv.w1, 0.0 if lv.w3 is None else lv.w3 - lv.w2))
 
 
 @_property("classical_distance_formula", 1e-10)
@@ -291,8 +256,14 @@ def _minimality(rng, i, grid_n):
 
 @_property("stationarity_at_criticals", 1e-8)
 def _stationarity(rng, i, grid_n):
+    # at the zero-couple critical angles and at optimal_set's angles (its float core, no energy)
+    # for non-classical weights: (mu - muc) t - 2 mu vanishes on the pitchfork, t' at the polar angle
     f = random_gl_plus(rng)
-    return _worst(abs(minimizers.stationarity_residual(a, f)) for a in _critical_angles(f))
+    w = random_nonclassical_weights(rng)
+    residuals = [minimizers.stationarity_residual(a, f) for a in _critical_angles(f)]
+    _, optimal, _ = energy._optimal_angles(trace_invariants(f), w)
+    residuals += [minimizers.stationarity_residual(a, f, w) for a in optimal]
+    return _worst(abs(r) for r in residuals)
 
 
 @_property("branch_continuity_at_threshold", 1e-5, cap=50)

@@ -49,6 +49,7 @@ from cosserat2d.selfcheck import (
 from cosserat2d.shear import simple_shear
 from record_checks import check_record
 from test_identities import constants_chain
+from test_planar import as_array
 
 LIMIT = Weights(1.0, 0.0)
 
@@ -391,31 +392,33 @@ class TestReducedEnergySingularValues:
             reduced_energy_sv((1.0, 0.0))
         with pytest.raises(NonPositiveSingularValue):
             reduced_energy_sv((-1.0, 2.0))
+        with pytest.raises(NonPositiveSingularValue):
+            reduced_energy_sv((0.0, 1.0))
 
 
 class TestMatrixLog:
     def test_distinct_real_eigenvalues(self):
         x = Mat2(2.0, 1.0, 0.5, 1.0)
         np.testing.assert_allclose(
-            matrix_log_2x2(x).as_array(), np.real(logm(x.as_array())), atol=1e-12
+            as_array(matrix_log_2x2(x)), np.real(logm(as_array(x))), atol=1e-12
         )
 
     def test_complex_pair(self):
         x = rotation(0.8) @ Mat2.diagonal(1.5, 0.7)
         np.testing.assert_allclose(
-            matrix_log_2x2(x).as_array(), np.real(logm(x.as_array())), atol=1e-12
+            as_array(matrix_log_2x2(x)), np.real(logm(as_array(x))), atol=1e-12
         )
 
     def test_defective(self):
         x = Mat2(2.0, 1.0, 0.0, 2.0)
         expected = np.array([[math.log(2.0), 0.5], [0.0, math.log(2.0)]])
-        np.testing.assert_allclose(matrix_log_2x2(x).as_array(), expected, atol=1e-14)
+        np.testing.assert_allclose(as_array(matrix_log_2x2(x)), expected, atol=1e-14)
 
     def test_near_defective_stays_accurate(self):
         for eps in (1e-6, 1e-9, 1e-12):
             x = Mat2(2.0 + eps, 1.0, 0.0, 2.0)
             np.testing.assert_allclose(
-                matrix_log_2x2(x).as_array(), np.real(logm(x.as_array())), atol=1e-7
+                as_array(matrix_log_2x2(x)), np.real(logm(as_array(x))), atol=1e-7
             )
 
     def test_random_against_scipy(self):
@@ -433,15 +436,15 @@ class TestMatrixLog:
                 # -0.7592 +- 0.0384i made scipy estimate 1.1e-12; the package
                 # and scipy are within 1.6e-12 of mpmath's eigendecomposition
                 warnings.filterwarnings("ignore", "logm result may be inaccurate", RuntimeWarning)
-                reference = np.real(logm(x.as_array()))
-            np.testing.assert_allclose(lg.as_array(), reference, atol=1e-9)
+                reference = np.real(logm(as_array(x)))
+            np.testing.assert_allclose(as_array(lg), reference, atol=1e-9)
 
     def test_exp_roundtrip(self):
         from scipy.linalg import expm
 
         x = rotation(-1.2) @ Mat2.diagonal(2.5, 0.3)
         lg = matrix_log_2x2(x)
-        np.testing.assert_allclose(expm(lg.as_array()), x.as_array(), atol=1e-12)
+        np.testing.assert_allclose(expm(as_array(lg)), as_array(x), atol=1e-12)
 
     def test_float_route_has_the_array_bits(self):
         # the case that _log_cases picks on a one-matrix array, run on floats
@@ -480,6 +483,11 @@ class TestMatrixLog:
             matrix_log_2x2(Mat2.diagonal(-2.0, -0.5))
         with pytest.raises(LogUndefined):
             matrix_log_2x2(Mat2.diagonal(1.0, -1.0))
+
+    def test_undefined_at_a_zero_eigenvalue(self):
+        # distinct real eigenvalues 1 and 0: det X = 0 is on the closed negative axis
+        with pytest.raises(LogUndefined):
+            matrix_log_2x2(Mat2(1.0, 0.0, 0.0, 0.0))
 
 
 class TestLogStrainEnergy:
@@ -523,7 +531,7 @@ class TestLogStrainEnergy:
                 # scipy warns from an estimated error of 1000 eps on; near the
                 # negative axis it reached 1.5e-12, far inside the comparison below
                 warnings.filterwarnings("ignore", "logm result may be inaccurate", RuntimeWarning)
-                lg = np.real(logm((rotation(a).transpose() @ f).as_array()))
+                lg = np.real(logm(as_array(rotation(a).transpose() @ f)))
             sym, skew = 0.5 * (lg + lg.T), 0.5 * (lg - lg.T)
             reference = w.mu * np.sum(sym**2) + w.muc * np.sum(skew**2)
             assert profile(a) == pytest.approx(reference, rel=1e-9, abs=1e-12)

@@ -115,9 +115,9 @@ CLI_SHA256 = {
     "critical_no_branch_json": "0d105d22d66df980bb45057cbd246185ac44f78ac37d1c6def5d5435c0731156",
     "energy_levels_csv": "c4f613ac59141dce60409484f4a935e22f18792f97453c7e984482eace1eabb9",
     "energy_levels_json": "0843c3e0f5b51658560aa0881a91015b99290d140aafb5f051e64fc734ec0909",
-    "verify_json": "cf0ff44f6905486e159258a6b64cd697bc3a51cf2a547f84c13497b90b1de021",
-    "verify_text": "59c392578ab0623a46dc6ca5c999e6e1b25ba1fe277601fe5a7ad2186adadc40",
-    "verify_seed7_json": "f5338cc04ddca761de01cfed8d908a069906903304152293ffeea477b780502d",
+    "verify_json": "98ed07223bff8b88ec9998d4435989bf7cacd595bb8df66378fb143b7a364949",
+    "verify_text": "b60586506a73449c6f9d23eccb9f7a4f68cfe7995e49829bb73950727008bca4",
+    "verify_seed7_json": "c7019684fbf3641ce4c20843bcb27016abdcccc7329f287717f6d838d8d40f80",
 }
 
 

@@ -1,12 +1,13 @@
 """The energy identities of the closed form, proved once in exact arithmetic.
 
 Fischle & Neff (arXiv 1507.05480) build the closed form on identities of
-W(alpha) = mu*||sym(R^T F - 1)||^2 + muc*||skew(R^T F - 1)||^2 for a
-rotation R = R(alpha). Here sympy proves them for symbolic F, alpha, mu
-and muc: a difference is an identity on the circle when its numerator, a
-polynomial in c = cos(alpha) and s = sin(alpha), reduces to 0 modulo
-c^2 + s^2 - 1. Each proven expression is then evaluated on seeded floats
-and compared with the package code that relies on it.
+the trace invariants of F and of W(alpha) = mu*||sym(R^T F - 1)||^2 +
+muc*||skew(R^T F - 1)||^2 for a rotation R = R(alpha). Here sympy proves
+them for symbolic F, alpha, mu and muc: a difference is an identity on the
+circle when its numerator, a polynomial in c = cos(alpha) and
+s = sin(alpha), reduces to 0 modulo c^2 + s^2 - 1. Each proven expression
+is then evaluated on seeded floats and compared with the package code that
+relies on it.
 """
 
 import math
@@ -19,7 +20,7 @@ import sympy as sp
 from cosserat2d import Weights, polar_decompose, reduction_data, rotation, shear_stretch_energy
 from cosserat2d.energy import _critical_levels
 from cosserat2d.minimizers import stationarity_residual
-from cosserat2d.planar import trace_invariants
+from cosserat2d.planar import _invariants, trace_invariants
 from cosserat2d.selfcheck import random_gl_plus, random_nonclassical_case
 
 F11, F12, F21, F22, U1, U2, U3 = sp.symbols("f11 f12 f21 f22 u1 u2 u3", real=True)
@@ -75,6 +76,15 @@ def constants_chain(frob_sq_f, mu, muc):
 def c4(frob_sq_f, mu, muc):
     """The offset of the rescaled energy, the last link of the constants chain."""
     return constants_chain(frob_sq_f, mu, muc)[3]
+
+
+TR_F = F.trace()
+TR_JF = (rotation_matrix(0, 1) * F).trace()  # tr(JF), J the quarter turn
+
+
+def test_trace_pythagoras():
+    # (tr F)^2 + (tr JF)^2 = ||F||^2 + 2 det F, the square of tr U
+    assert sp.expand(TR_F**2 + TR_JF**2 - frob_sq(F) - 2 * F.det()) == 0
 
 
 X = rotation_matrix(sp.cos(ALPHA), sp.sin(ALPHA)).T * F
@@ -168,6 +178,16 @@ def test_critical_levels_are_the_energy_at_the_critical_angles(name):
     assert sp.expand(TR_U**2 - frob_sq(U) - 2 * U.det()) == 0
 
 
+GAPS = (4 * TR_U, (TR_U - 2) ** 2 / 2)  # w1 - w2 and w2 - w3
+
+
+def test_level_ordering():
+    # w1 - w2 = 4 tr U > 0 and w2 - w3 = (tr U - 2)^2 / 2 >= 0, so w1 > w2 >= w3
+    w1, w2, w3 = (LEVELS[name][2] for name in ("w1", "w2", "w3"))
+    assert sp.expand(w1 - w2 - GAPS[0]) == 0
+    assert sp.expand(w2 - w3 - GAPS[1]) == 0
+
+
 # ---------------------------------------------------------------------------
 # The package code against the proven expressions, on seeded floats
 # ---------------------------------------------------------------------------
@@ -252,6 +272,30 @@ def _critical_levels_of_f():
     return case
 
 
+def _trace_pythagoras():
+    traces = _lambdified((TR_F, TR_JF, sp.sqrt(TR_F**2 + TR_JF**2)), *ENTRIES)
+
+    def case(rng):
+        f = random_gl_plus(rng)
+        got = _invariants(*f.entries())[:3]  # tr U from ||F||^2 + 2 det F
+        return max(_rel(g, v) for g, v in zip(got, traces(*f.entries())))
+
+    return case
+
+
+def _level_ordering():
+    gaps = _lambdified(GAPS, U1, U2, U3)
+
+    def case(rng):
+        f = random_gl_plus(rng)
+        inv, u = trace_invariants(f), polar_decompose(f).stretch
+        w1, w2, w3 = _critical_levels(inv.tr_u, inv.det_f, inv.frob_f)
+        gap12, gap23 = gaps(u.e11, 0.5 * (u.e12 + u.e21), u.e22)
+        return max(_rel(w1 - w2, gap12), 0.0 if w3 is None else _rel(w2 - w3, gap23))
+
+    return case
+
+
 #: identity: (the package code it is compared with, the case factory)
 FOLLOWERS = {
     "energy_definition": ("shear_stretch_energy", _energy_definition),
@@ -259,6 +303,8 @@ FOLLOWERS = {
     "derivative_factor": ("stationarity_residual", _derivative),
     "rescaling": ("reduction_data", _reduction),
     "critical_levels": ("_critical_levels", _critical_levels_of_f),
+    "trace_pythagoras": ("_invariants", _trace_pythagoras),
+    "level_ordering": ("_critical_levels", _level_ordering),
 }
 
 

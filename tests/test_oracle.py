@@ -711,6 +711,9 @@ class TestNearCells:
         cells = self._check(values)
         assert cells.tolist() == [0, 1, n - 3, n - 2, n - 1]
         assert _clusters(cells, n) == [(n - 3, n + 1)]
+        # with a run between them, the seam merge reads the last run, not the second
+        values[300] = 0.0
+        assert _clusters(self._check(values), n) == [(300, 300), (n - 3, n + 1)]
 
     def test_neighbours_across_the_seam(self):
         n = 720

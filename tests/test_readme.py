@@ -67,12 +67,12 @@ def test_readme_states_the_registered_properties():
 
 
 @pytest.mark.parametrize("old, new", [
-    ("runs 26 seeded", "runs 27 seeded"),
+    ("runs 21 seeded", "runs 22 seeded"),
     ("`N/5` | `skew_defect_two_roots`", "`N/10` | `skew_defect_two_roots`"),
     ("`N`, at most 20 |", "`N`, at most 25 |"),
     ("`argmin_transport_to_limit_case`", "`argmin_transport_to_limit_case`, `closed_form_vs_oracle`"),
     ("`argmin_transport_to_limit_case`", "`cofactor_energy_transport`"),
-    ("the 14 algebraic", "the 13 algebraic"),
+    ("the 9 decomposition", "the 8 decomposition"),
 ])
 def test_a_mutated_readme_is_caught(old, new):
     readme = README.read_text(encoding="utf-8")
