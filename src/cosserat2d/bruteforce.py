@@ -336,12 +336,13 @@ def sign_change_scan(
     """
     h, values = _sample(f, grid_n, vectorized, 0.0)
 
-    # cell i runs from sample i to sample i + 1, the last one across the
-    # seam; a product that underflows to zero brackets no root. Slices, not
-    # np.roll, whose own overhead is larger than the products at 1440 samples.
+    # cell i runs from sample i to sample i + 1, the last one across the seam, and
+    # brackets a root where its ends' signs differ: signs, whose product cannot
+    # underflow. Slices, not np.roll, whose own overhead is larger at 1440 samples.
+    sign = np.sign(values)
     hit = values == 0.0
-    hit[:-1] |= values[:-1] * values[1:] < 0.0
-    hit[-1] |= values[-1] * values[0] < 0.0
+    hit[:-1] |= sign[:-1] * sign[1:] < 0.0
+    hit[-1] |= sign[-1] * sign[0] < 0.0
     roots: list[float] = []
     for i in np.flatnonzero(hit).tolist():
         a0 = -math.pi + h * i

@@ -271,14 +271,16 @@ def _log_coincident(t, disc, d, sqrt):
     return np.log(lam), coeff, lam
 
 
-def _log_rules(t, disc, d):
-    # The log's case rule, once for floats and for arrays: disjoint (condition,
-    # case) pairs. Real eigenvalues are both positive when t > 0 and d > 0; the
-    # Jordan form needs disc == 0 exactly; a NaN or infinite disc meets none.
+def _log_rules(x11, x22, d):
+    # The log's case rule, once for floats and for arrays: t, disc and disjoint
+    # (condition, case) pairs. Real eigenvalues are both positive when t > 0 and
+    # d > 0; the Jordan form needs disc == 0 exactly; a NaN or infinite disc meets none.
+    t = x11 + x22
+    disc = t * t - 4.0 * d
     positive = (t > 0.0) & (d > 0.0)
-    return (((disc > -math.inf) & (disc < 0.0), _log_complex),
-            ((disc > 0.0) & (disc < math.inf) & positive, _log_distinct),
-            ((disc == 0.0) & positive, _log_coincident))
+    return t, disc, (((disc > -math.inf) & (disc < 0.0), _log_complex),
+                     ((disc > 0.0) & (disc < math.inf) & positive, _log_distinct),
+                     ((disc == 0.0) & positive, _log_coincident))
 
 
 def _log_entries(x11, x12, x21, x22, const, coeff, shift):
@@ -291,9 +293,8 @@ def _log_cases(x11, x12, x21, x22, d: float):
     # Principal log of X = (x11, x12; x21, x22) on arrays, with det X = d a float.
     # Yields (mask, l11, l12, l21, l22), the entries of log X on mask, per
     # eigenvalue case present; off every mask, log X is undefined.
-    t = x11 + x22
-    disc = t * t - 4.0 * d
-    for m, case in _log_rules(t, disc, d):
+    t, disc, rules = _log_rules(x11, x22, d)
+    for m, case in rules:
         if m.any():
             yield (m, *_log_entries(x11[m], x12[m], x21[m], x22[m],
                                     *case(t[m], disc[m], d, np.sqrt)))
@@ -302,9 +303,8 @@ def _log_cases(x11, x12, x21, x22, d: float):
 def _log_at(x11: float, x12: float, x21: float, x22: float, d: float):
     # The entries of log X as floats, or None where log X is undefined: the case
     # of the first rule that holds, its formula run on floats.
-    t = x11 + x22
-    disc = t * t - 4.0 * d
-    for holds, case in _log_rules(t, disc, d):
+    t, disc, rules = _log_rules(x11, x22, d)
+    for holds, case in rules:
         if holds:
             break
     else:

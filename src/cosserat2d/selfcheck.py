@@ -197,13 +197,6 @@ def _reduced_sv(rng, i, grid_n):
     return _rel(value, energy.reduced_energy_sv(singular_values(f)))
 
 
-@_property("polar_invariant_under_rescaling", 1e-12)
-def _polar_rescaled(rng, i, grid_n):
-    f, w = random_nonclassical_case(rng)
-    ftilde = reduction_data(f, w).ftilde
-    return (polar_decompose(f).rotation - polar_decompose(ftilde).rotation).frobenius_norm()
-
-
 @_property("classical_lower_bound", 1e-12)
 def _classical_bound(rng, i, grid_n):
     f = random_gl_plus(rng)
@@ -233,16 +226,6 @@ def _closed_form_oracle(rng, i, grid_n):
     angle_miss = bruteforce.angle_set_distance(ms.angles, grid.angles)
     # energy agreement is held three decades tighter than the angles
     return _worst((angle_miss, 1e3 * _rel(ms.energy, grid.best_value)))
-
-
-@_property("pitchfork_energy_symmetry", 1e-12)
-def _pitchfork_symmetry(rng, i, grid_n):
-    f, w = random_nonclassical_case(rng)
-    ms = minimizers.optimal_set(f, w)
-    if ms.branch is not energy.Branch.PITCHFORK:
-        return 0.0
-    e_plus = energy.shear_stretch_energy(rotation(ms.alpha_plus), f, w)
-    return _rel(e_plus, energy.shear_stretch_energy(rotation(ms.alpha_minus), f, w))
 
 
 @_property("minimality_over_criticals", 1e-12)

@@ -32,8 +32,9 @@ _REGIME_NON_CLASSICAL = Regime.NON_CLASSICAL
 
 class _DerivedWeights:
     # Slots outside the dataclass fields, fixed by Weights.__init__: the regime and,
-    # for a non-classical pair, the scaling parameter and singular radius (else None).
-    __slots__ = ("regime", "_scaling", "_radius")
+    # for a non-classical pair, the singular radius 2*lam (else None); scaling()
+    # halves it exactly, as 1 <= lam <= 2**53.
+    __slots__ = ("regime", "_radius")
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -57,12 +58,10 @@ class Weights(_DerivedWeights):
         _set_muc(self, muc_f)
         if muc_f >= mu_f:
             _set_regime(self, _REGIME_CLASSICAL)
-            _set_scaling(self, None)
             _set_radius(self, None)
         else:
             _set_regime(self, _REGIME_NON_CLASSICAL)
-            _set_scaling(self, lam := mu_f / (mu_f - muc_f))
-            _set_radius(self, 2.0 * lam)
+            _set_radius(self, 2.0 * (mu_f / (mu_f - muc_f)))
 
     def __reduce__(self):
         # pickle and copy rebuild through __init__, which fixes the derived slots
@@ -70,11 +69,11 @@ class Weights(_DerivedWeights):
 
     def scaling(self) -> float:
         """Scaling parameter mu / (mu - muc) >= 1; requires mu > muc."""
-        if self._scaling is None:
+        if self._radius is None:
             raise RequiresNonClassical(
                 f"scaling parameter needs mu > muc, got mu={self.mu}, muc={self.muc}"
             )
-        return self._scaling
+        return 0.5 * self._radius
 
     def singular_radius(self) -> float:
         """Bifurcation threshold 2*mu / (mu - muc) on the stretch trace.
@@ -89,7 +88,6 @@ class Weights(_DerivedWeights):
 # The slot descriptors' setters store past the frozen __setattr__.
 _set_mu, _set_muc = (Weights.__dict__[name].__set__ for name in ("mu", "muc"))
 _set_regime = _DerivedWeights.regime.__set__
-_set_scaling = _DerivedWeights._scaling.__set__
 _set_radius = _DerivedWeights._radius.__set__
 
 # The zero-couple-modulus limit pair, onto which non-classical pairs reduce.

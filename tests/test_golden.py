@@ -115,9 +115,9 @@ CLI_SHA256 = {
     "critical_no_branch_json": "0d105d22d66df980bb45057cbd246185ac44f78ac37d1c6def5d5435c0731156",
     "energy_levels_csv": "c4f613ac59141dce60409484f4a935e22f18792f97453c7e984482eace1eabb9",
     "energy_levels_json": "0843c3e0f5b51658560aa0881a91015b99290d140aafb5f051e64fc734ec0909",
-    "verify_json": "98ed07223bff8b88ec9998d4435989bf7cacd595bb8df66378fb143b7a364949",
-    "verify_text": "b60586506a73449c6f9d23eccb9f7a4f68cfe7995e49829bb73950727008bca4",
-    "verify_seed7_json": "c7019684fbf3641ce4c20843bcb27016abdcccc7329f287717f6d838d8d40f80",
+    "verify_json": "6a14bcddccb70c8e5a7c6261edcc2aa0e2f9eeda6d80e85153a990064345c4ba",
+    "verify_text": "475947599bfd50a17285393ba0a61fbccfd80520fb54bacef278277b4be6270d",
+    "verify_seed7_json": "c187d44b14d58cf182144f36643f3a1d05418847d998c33dc255a4ae0380f276",
 }
 
 

@@ -112,6 +112,13 @@ def test_derivative_factors_through_the_trace():
     assert is_identity(sp.diff(W, ALPHA), DW_FACTOR)
 
 
+def test_pitchfork_pair_has_one_energy():
+    # F = R(alpha_p) U gives R(alpha_p +- delta)^T F = R(-+delta) U, so for a symmetric
+    # U, W(R(delta) U) = W(R(-delta) U) is the energy symmetry of the pair alpha_p +- beta
+    at_u = W.subs({F11: U1, F12: U2, F21: U2, F22: U3})
+    assert is_identity(at_u, at_u.subs(ALPHA, -ALPHA))
+
+
 def test_singular_radius_is_twice_the_scaling():
     assert sp.simplify(RHO - 2 * LAM) == 0
     assert (LAM.subs({MU: 1, MUC: 0}), RHO.subs({MU: 1, MUC: 0})) == (1, 2)

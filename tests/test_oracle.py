@@ -297,6 +297,21 @@ class TestSignChangeScan:
             expected = (polar_angle(f), polar_angle(f) + math.pi)
             assert angle_set_distance(roots, expected) < 1e-8
 
+    @pytest.mark.parametrize("scale", [1e-150, 1e-170, 1e-300])
+    def test_tiny_samples_bracket_by_sign(self, scale):
+        # below about 1e-162 the product of two neighbouring samples underflows to
+        # 0, so only their signs tell a root; one root lies in the seam cell
+        h = math.tau / 1440
+        seam = math.pi - 0.3 * h  # between the last sample pi - h and pi
+
+        def f(a):
+            a = np.asarray(a)
+            return scale * np.sin(a - 0.5) * np.sin(a - seam)
+
+        roots = sign_change_scan(f, 1440, vectorized=True)
+        assert len(roots) == 4
+        assert angle_set_distance(roots, (0.5, 0.5 - math.pi, seam, seam - math.pi)) < 1e-9
+
     def test_bisection_stops_at_an_exact_zero(self):
         # the first midpoint of [-1, 1] is the root itself
         assert _bisect(lambda a: a, -1.0, 1.0, -1.0, 1e-10) == 0.0
