@@ -3,10 +3,10 @@
 grid_minimize evaluates an arbitrary single-angle energy on a dense
 uniform grid over (-pi, pi], building the angles and evaluating them in
 blocks of 4096, so the only grid-sized float array is the samples, one
-float per grid angle. It clusters the near-minimal cells, which it looks
-for among the grid-local minima only, and refines each cluster with
-Brent's method (golden-section steps with safeguarded parabolic steps)
-from its best sample. sign_change_scan brackets and bisects the roots of a
+float per grid angle. It finds the runs of near-minimal cells in one pass
+over the grid-local minima and refines each run with Brent's method
+(golden-section steps with safeguarded parabolic steps) from its best
+sample. sign_change_scan brackets and bisects the roots of a
 continuous periodic function. Both are deliberately derivative-free so
 they remain robust at the non-smooth bifurcation threshold, and both treat
 the supplied callable as a black box. A GridResult keeps only what the
@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import NonFiniteEnergy
+from .errors import NonFiniteEnergy, PlanarCosseratError
 from .planar import circular_distance, normalize_angle
 
 #: Grid cells within this absolute distance of the best cell value are
@@ -39,6 +39,9 @@ MIN_GRID_N = 360
 #: temporaries stay in cache and no float array but the samples has the
 #: size of the grid.
 _GRID_BLOCK = 4096
+
+#: Steps after which Brent's search or a bisection raises; a valid one takes a few dozen.
+_MAX_STEPS = 500
 
 _SQRT_EPS = math.sqrt(2.0**-52)
 _GOLDEN_STEP = (3.0 - math.sqrt(5.0)) / 2.0
@@ -127,7 +130,7 @@ def _brent(energy, lo: float, hi: float, x: float, fx: float, tol: float):
     w = v = x
     fw = fv = fx
     d = e = 0.0
-    while True:
+    for _ in range(_MAX_STEPS):
         m = 0.5 * (lo + hi)
         tol1 = _SQRT_EPS * abs(x) + tol
         tol2 = 2.0 * tol1
@@ -168,6 +171,7 @@ def _brent(energy, lo: float, hi: float, x: float, fx: float, tol: float):
                 v, fv, w, fw = w, fw, u, fu
             elif fu <= fv or v == x or v == w:
                 v, fv = u, fu
+    raise PlanarCosseratError(f"Brent's search on [{lo!r}, {hi!r}] took {_MAX_STEPS} steps")
 
 
 def _parabolic_polish(energy, x: float, fx: float) -> tuple[float, float]:
@@ -199,10 +203,11 @@ def _parabolic_polish(energy, x: float, fx: float) -> tuple[float, float]:
     return x, fx
 
 
-def _near_cells(values: np.ndarray, best: float) -> np.ndarray:
-    # Increasing indices of the near-minimal cells: the grid-local minima
-    # (each compared with its two circular neighbours) that lie within
-    # CLUSTER_VALUE_TOL plus their slack of the best sample.
+def _near_runs(values: np.ndarray, best: float) -> list[tuple[int, int]]:
+    # Runs of the near-minimal cells as (first, last) index pairs, where last
+    # exceeds n-1 for a run across the seam: the grid-local minima (each
+    # compared with its two circular neighbours) within CLUSTER_VALUE_TOL
+    # plus their slack of the best sample, found in one pass over them.
     # Near a true minimum the closest sample sits up to f''h^2/8 above the
     # true value, so equal minima can show unequal samples. The local second
     # difference estimates exactly that discretization slack per cell; only
@@ -215,32 +220,23 @@ def _near_cells(values: np.ndarray, best: float) -> np.ndarray:
     local[0] = values[0] <= values[-1]
     local[:-1] &= values[:-1] <= values[1:]
     local[-1] &= values[-1] <= values[0]
-    cells = np.flatnonzero(local)
-    v = values[cells]
-    left = values[cells - 1]  # cell 0 reads the last cell, its left neighbour
-    right = values[(cells + 1) % n]
-    slack = np.abs(right - 2.0 * v + left)
-    return cells[v <= best + CLUSTER_VALUE_TOL + slack]
-
-
-def _clusters(cells: np.ndarray, n: int) -> list[tuple[int, int]]:
-    # Contiguous runs of the near-minimal cells, given as increasing indices,
-    # on the circular grid of n cells, returned as (first, last) index pairs
-    # where last may exceed n-1 for a run that wraps around the seam.
+    limit = best + CLUSTER_VALUE_TOL
+    get = values.item  # a float, so each operation below rounds as numpy's would
     runs: list[tuple[int, int]] = []
-    start = prev = int(cells[0])
-    for i in cells[1:].tolist():
-        if i == prev + 1:
-            prev = i
+    first = last = -2  # the open run; none yet, as no cell follows -2
+    for i in np.flatnonzero(local).tolist():
+        v = get(i)
+        # a cell at the limit needs no slack, which is never negative; get(-1) is the last cell
+        if v > limit and v > limit + abs(get((i + 1) % n) - 2.0 * v + get(i - 1)):
             continue
-        runs.append((start, prev))
-        start = prev = i
-    runs.append((start, prev))
-    # merge a run ending at n-1 with one starting at 0 across the seam
-    if len(runs) > 1 and runs[0][0] == 0 and runs[-1][1] == n - 1:
-        first = runs.pop(0)
-        last = runs.pop()
-        runs.append((last[0], first[1] + n))
+        if i != last + 1:
+            if first >= 0:
+                runs.append((first, last))
+            first = i
+        last = i
+    if runs and runs[0][0] == 0 and last == n - 1:
+        last = runs.pop(0)[1] + n  # the open run continues across the seam
+    runs.append((first, last))
     return runs
 
 
@@ -278,7 +274,7 @@ def grid_minimize(
         return energy(alpha)
 
     candidates: list[tuple[float, float]] = []  # one per cluster
-    for first, last in _clusters(_near_cells(values, float(values.min())), grid_n):
+    for first, last in _near_runs(values, float(values.min())):
         lo = -math.pi + h * first  # one cell to the left of the first sample
         hi = -math.pi + h * (last + 2.0)  # one cell to the right of the last
         # Each cell of a run is a grid-local minimum, so all its samples are
@@ -309,7 +305,9 @@ def grid_minimize(
 
 
 def _bisect(f, lo: float, hi: float, flo: float, tol: float) -> float:
-    while hi - lo > tol:
+    for _ in range(_MAX_STEPS):
+        if hi - lo <= tol:
+            return 0.5 * (lo + hi)
         mid = 0.5 * (lo + hi)
         fm = _scalar(f, mid)
         if fm == 0.0:
@@ -318,7 +316,7 @@ def _bisect(f, lo: float, hi: float, flo: float, tol: float) -> float:
             hi = mid
         else:
             lo, flo = mid, fm
-    return 0.5 * (lo + hi)
+    raise PlanarCosseratError(f"bisection on [{lo!r}, {hi!r}] took {_MAX_STEPS} steps")
 
 
 def sign_change_scan(
@@ -328,11 +326,12 @@ def sign_change_scan(
 ) -> list[float]:
     """All roots of a continuous 2*pi-periodic function found by bracketing.
 
-    Samples grid_n points around the circle, duplicates the wrap-around
-    cell, and bisects every sign change down to 1e-10. Exact zeros at
-    sample points are reported directly. Returns normalized angles in
-    increasing order with near-duplicates removed. grid_n must be an
-    integer of at least MIN_GRID_N, as for grid_minimize.
+    Samples grid_n points around the circle, brackets each cell between
+    neighbouring samples, the seam cell included, and bisects every sign
+    change down to 1e-10. Exact zeros at sample points are reported
+    directly. Returns normalized angles in increasing order with
+    near-duplicates removed. grid_n must be an integer of at least
+    MIN_GRID_N, as for grid_minimize.
     """
     h, values = _sample(f, grid_n, vectorized, 0.0)
 

@@ -1,5 +1,6 @@
-"""The mutation audit of `tests/mutants.py`, run end to end on two mutants:
-one that `verify` kills and one that no check can kill."""
+"""The mutation audit of `tests/mutants.py`, run end to end on three mutants:
+one that `verify` kills, one whose search step would spin without the oracle's
+step cap, and one that no check can kill."""
 
 import ast
 import json
@@ -32,12 +33,18 @@ def test_audit_kills_a_sign_swap_and_keeps_an_equivalent_mutant(tmp_path):
                     "w1 = base - 2.0 * tr_u + ring_const")
     # rotation()'s NaN branch: Mat2 rejects e11 = nan before the sign of e12 matters
     equivalent = mutant("planar", "return Mat2(c, -s, s, c)", "return Mat2(c, s, s, c)")
+    # a golden-section step of the wrong size never meets Brent's stop test;
+    # the step cap turns that into PlanarCosseratError instead of a hang
+    capped = mutant("bruteforce", "d = _GOLDEN_STEP * e", "d = _GOLDEN_STEP / e")
     out = tmp_path / "audit.json"
-    assert mutants.main([str(out), "--only", killed.id, equivalent.id]) == 0
+    assert mutants.main([str(out), "--only", killed.id, equivalent.id, capped.id]) == 0
     audit = json.loads(out.read_text(encoding="utf-8"))
     summary = audit["summary"]
-    assert (summary["mutants"], summary["verify_killed"]) == (2, 1)
-    assert summary["survivors"] == [equivalent.id]
+    assert (summary["mutants"], summary["verify_killed"]) == (3, 2)
+    assert summary["survivors"] == [equivalent.id] and summary["verify_hangs"] == []
+    record = next(r for r in audit["mutants"] if r["id"] == capped.id)
+    assert record["verify"]["how"] == "killed"
+    assert record["verify"]["outcomes"]["closed_form_vs_oracle"] == "PlanarCosseratError"
     assert summary["sole_killer_of"] == {"shear_level_consistency": [killed.id]}
     record = next(r for r in audit["mutants"] if r["id"] == killed.id)
     assert record["verify"]["how"] == "killed"

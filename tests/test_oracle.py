@@ -11,6 +11,7 @@ import pytest
 from cosserat2d import (
     Mat2,
     NonFiniteEnergy,
+    PlanarCosseratError,
     Weights,
     angle_set_distance,
     circular_distance,
@@ -30,10 +31,11 @@ from cosserat2d import (
 from cosserat2d.bruteforce import (
     CLUSTER_VALUE_TOL,
     MIN_GRID_N,
+    _MAX_STEPS,
     GridResult,
     _bisect,
-    _clusters,
-    _near_cells,
+    _brent,
+    _near_runs,
     _parabolic_polish,
     _sample,
     _scalar,
@@ -316,6 +318,20 @@ class TestSignChangeScan:
         # the first midpoint of [-1, 1] is the root itself
         assert _bisect(lambda a: a, -1.0, 1.0, -1.0, 1e-10) == 0.0
 
+    def test_bisection_below_the_float_spacing_raises(self):
+        # with tolerance 0 the bracket reaches adjacent floats, whose midpoint is
+        # one of its ends, so its width never falls to the tolerance
+        calls = []
+
+        def step(a):
+            calls.append(a)
+            return -1.0 if a < 0.3 else 1.0
+
+        bracket = r"^bisection on \[0\.29999999999999993, 0\.3\] took"
+        with pytest.raises(PlanarCosseratError, match=bracket):
+            _bisect(step, 0.0, 1.0, -1.0, 0.0)
+        assert len(calls) == _MAX_STEPS
+
     def test_exact_zero_at_node(self):
         roots = sign_change_scan(lambda a: math.sin(a - math.pi / 2.0), grid_n=720)
         # 720 cells put nodes exactly on pi/2 up to float formation
@@ -388,6 +404,26 @@ class TestRefinement:
             # many shallow local minima inside every grid cell
             "rough": lambda a: np.abs(a - a0) + 1e-3 * np.abs(np.sin(3000.0 * np.asarray(a))),
         }
+
+    def test_search_without_a_tolerance_raises(self):
+        # at an exact minimum x = 0 with tolerance 0 the stop width is 0,
+        # which the bracket around x never reaches
+        with pytest.raises(PlanarCosseratError, match=r"^Brent's search on \[0\.0, "):
+            _brent(lambda a: a * a, -1.0, 1.0, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "energy",
+        [lambda a: np.full(np.shape(a), 5.0),
+         shear_stretch_profile(Mat2.diagonal(1e-50, 1e-50), LIMIT)],
+        ids=["constant", "tiny_shear_stretch"],
+    )
+    def test_flat_grid_is_one_run(self, energy):
+        # every cell of a flat grid is a near-minimal grid-local minimum, so
+        # all 20000 form one run around the circle, refined once; the tiny
+        # F's profile is 2.0 to the last bit
+        grid = grid_minimize(energy, 20000, vectorized=True)
+        value = float(energy(0.0))
+        assert grid == GridResult(((-3.141278563721766, value),), 20000, math.tau / 20000, 40, 1)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_lenient_polish_keeps_the_oracle_self_consistent(self, seed):
@@ -687,15 +723,37 @@ def _reference_near(values, best):
     return np.flatnonzero(near)
 
 
+def _reference_runs(values, best):
+    """The runs of the reference's cells, grouped in a second walk as they were before:
+    (first, last) pairs, last beyond n-1 for the run that wraps around the seam."""
+    n = values.size
+    cells = _reference_near(values, best)
+    runs = []
+    start = prev = int(cells[0])
+    for i in cells[1:].tolist():
+        if i == prev + 1:
+            prev = i
+            continue
+        runs.append((start, prev))
+        start = prev = i
+    runs.append((start, prev))
+    # merge a run ending at n-1 with one starting at 0 across the seam
+    if len(runs) > 1 and runs[0][0] == 0 and runs[-1][1] == n - 1:
+        first = runs.pop(0)
+        last = runs.pop()
+        runs.append((last[0], first[1] + n))
+    return runs
+
+
 class TestNearCells:
-    """The classification at the grid-local minima selects the same cells."""
+    """The near-minimal cells: one pass at the grid-local minima finds the reference's runs."""
 
     @staticmethod
     def _check(values):
         best = float(values.min())
-        cells = _near_cells(values, best)
-        assert cells.tobytes() == _reference_near(values, best).tobytes()
-        return cells
+        runs = _near_runs(values, best)
+        assert runs == _reference_runs(values, best)
+        return runs
 
     @pytest.mark.parametrize("name", ["shear_stretch", "log_strain"])
     def test_profiles(self, name):
@@ -713,22 +771,18 @@ class TestNearCells:
 
     def test_constant(self):
         for n in (MIN_GRID_N, 720, 4097):
-            cells = self._check(np.full(n, 5.0))
-            assert cells.tolist() == list(range(n))
-            # every cell is one run
-            assert _clusters(cells, n) == [(0, n - 1)]
+            # every cell is near-minimal, and all are one run
+            assert self._check(np.full(n, 5.0)) == [(0, n - 1)]
 
     def test_run_across_the_seam(self):
         n = 720
         values = np.ones(n)
         values[-3:] = 0.0
         values[:2] = 0.0
-        cells = self._check(values)
-        assert cells.tolist() == [0, 1, n - 3, n - 2, n - 1]
-        assert _clusters(cells, n) == [(n - 3, n + 1)]
+        assert self._check(values) == [(n - 3, n + 1)]
         # with a run between them, the seam merge reads the last run, not the second
         values[300] = 0.0
-        assert _clusters(self._check(values), n) == [(300, 300), (n - 3, n + 1)]
+        assert self._check(values) == [(300, 300), (n - 3, n + 1)]
 
     def test_neighbours_across_the_seam(self):
         n = 720
@@ -736,22 +790,20 @@ class TestNearCells:
         values = np.ones(n)
         values[-1] = 0.0
         values[0] = 1e-8
-        assert self._check(values).tolist() == [n - 1]
+        assert self._check(values) == [(n - 1, n - 1)]
         # the slack of the last cell uses cell 0 (2.0) as its right neighbour,
         # and the slack of cell 0 the last cell as its left one
         for edge, inner, last in ((0, 1, n - 1), (n - 1, n - 2, 0)):
             values = np.full(n, 3.0)
             values[360] = 0.0
             values[inner], values[edge], values[last] = 1.0, 0.9, 2.0
-            assert self._check(values).tolist() == sorted([360, edge])
+            assert self._check(values) == sorted([(360, 360), (edge, edge)])
 
     def test_minimum_at_either_end(self):
         n = 720
         ramp = np.arange(n, dtype=float)
         for values, cell in ((ramp, 0), (ramp[::-1].copy(), n - 1)):
-            cells = self._check(values)
-            assert cells.tolist() == [cell]
-            assert _clusters(cells, n) == [(cell, cell)]
+            assert self._check(values) == [(cell, cell)]
 
     def test_ties_between_neighbours(self):
         n = 720
@@ -760,9 +812,20 @@ class TestNearCells:
         values[400] = 0.0
         values[401] = 1e-8  # within the tolerance, but not a grid-local minimum
         values[402] = 0.0
-        cells = self._check(values)
-        assert cells.tolist() == [100, 101, 400, 402]
-        assert _clusters(cells, n) == [(100, 101), (400, 400), (402, 402)]
+        assert self._check(values) == [(100, 101), (400, 400), (402, 402)]
+
+    def test_seeded_ties(self):
+        # small integers times a step around CLUSTER_VALUE_TOL, on 0 or on 1.0
+        # where the sums round, rolled so that some runs cross the seam
+        rng = np.random.default_rng(924)
+        seam_runs = 0
+        for _ in range(3000):
+            n = int(rng.integers(3, 65))
+            step = float(rng.choice((1e-8, 3e-8, 1e-7)))
+            values = float(rng.integers(0, 2)) + step * rng.integers(0, 4, n)
+            runs = self._check(np.roll(values, int(rng.integers(0, n))))
+            seam_runs += any(last >= n for _, last in runs)
+        assert seam_runs > 300
 
 
 class TestLogStrainScale:
