@@ -1,9 +1,10 @@
-"""The value semantics every result record of the package keeps.
+"""Checks shared by the test modules.
 
-The records were frozen dataclasses and are named tuples; check_record
-pins what both forms share: the field names and order, the
+check_record pins the value semantics every result record of the package
+keeps. The records were frozen dataclasses and are named tuples; it pins
+what both forms share: the field names and order, the
 `Name(field=value, ...)` repr, equality and hash of the field tuple, the
-clones, and no assignment.
+clones, and no assignment. reject_constant makes `json.loads` strict.
 """
 
 import copy
@@ -36,3 +37,8 @@ def check_record(record, text: str, **fields):
     with pytest.raises(AttributeError):
         record.extra = 0.0
     assert record == values
+
+
+def reject_constant(token):
+    """`json.loads`' parse_constant: NaN and Infinity are not JSON."""
+    raise ValueError(f"non-standard JSON token {token}")

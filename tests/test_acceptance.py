@@ -7,10 +7,16 @@ seeds are fixed so the suite is reproducible run to run.
 Criteria 3 (its argmin half), 7, 9 and 10 run the `verify` suite's own
 registered property definitions (`selfcheck.PROPERTIES`) through
 `Property.worst`, with their own seeds, case counts, grid sizes and
-tolerances. A case whose oracle finds the wrong number of minima or roots
-has residual inf, and a NaN residual fails too. The other criteria are
-stricter than their `verify` counterparts or laid out differently, and
-keep their own loops.
+tolerances, as do the unit tests that check a property's route. A case
+whose oracle finds the wrong number of minima or roots has residual inf,
+and a NaN residual fails too. The other criteria are stricter than their
+`verify` counterparts or laid out differently, and keep their own loops.
+
+No unit test repeats a criterion at fewer cases. Criterion 3 alone
+transports the oracle's argmin to the limit case and checks the offset c4
+on floats; criterion 7 alone checks the skew-defect roots of random F
+against the polar pair; criterion 8 alone orders `critical_energy_levels`
+of random F.
 
 Where a criterion compares closed-form angle sets against the brute-force
 grid, sampled cases whose stretch trace falls within a 1e-3 relative band

@@ -15,17 +15,13 @@ import pytest
 from cosserat2d import Mat2, Weights, rotation, shear_stretch_energy
 from cosserat2d import bruteforce, cli, selfcheck
 from cosserat2d.cli import _Table, main
-from record_checks import check_record
+from record_checks import check_record, reject_constant
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def reject_constant(token):
-    raise ValueError(f"non-standard JSON token {token}")
 
 
 def parse_csv(text):
@@ -679,6 +675,15 @@ class TestVerify:
         prop = selfcheck.PROPERTIES["closed_form_vs_oracle"]
         with pytest.raises(ValueError, match="^cases must be at least 1, got 0$"):
             prop.worst(np.random.default_rng(0), 0)
+
+    def test_wrong_count_of_minima_or_roots_is_inf(self, monkeypatch):
+        # a property that needs one minimum or two roots fails outright on any other count
+        two = bruteforce.GridResult(((0.0, 1.0), (1.0, 1.0)), 720, math.tau / 720, 0, 2)
+        monkeypatch.setattr(selfcheck.bruteforce, "grid_minimize", lambda *args, **kw: two)
+        monkeypatch.setattr(selfcheck.bruteforce, "sign_change_scan", lambda *args, **kw: [0.0])
+        for name in ("classical_oracle_is_polar", "log_strain_polar_optimality",
+                     "skew_defect_two_roots"):
+            assert selfcheck.PROPERTIES[name].case(np.random.default_rng(0), 0, 720) == math.inf
 
     def test_env_seed_override(self, capsys, monkeypatch):
         monkeypatch.setenv("COSSERAT2D_SEED", "99")

@@ -19,6 +19,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from cosserat2d import errors
 from cosserat2d.cli import MAX_ROWS, main
+from record_checks import reject_constant
 
 #: Any double, or one of the moderate nonnegative values most inputs need to be valid.
 DOUBLES = (st.floats() | st.floats(min_value=0.0, max_value=4.0)).map(repr)
@@ -29,10 +30,6 @@ FUZZ = settings(max_examples=300, derandomize=True, deadline=None)
 PYTHON_TEXT = re.compile(r"Traceback|\(\d+, '|\b(%s)\b" % "|".join(
     name for module in (builtins, errors) for name, value in vars(module).items()
     if isinstance(value, type) and issubclass(value, BaseException)))
-
-
-def _reject_constant(token):
-    raise ValueError(f"non-standard JSON token {token}")
 
 
 def _check(argv):
@@ -47,7 +44,7 @@ def _check(argv):
         assert not PYTHON_TEXT.search(err), (argv, err)
         return
     assert err == "", (argv, err)
-    json.loads(out, parse_constant=_reject_constant)
+    json.loads(out, parse_constant=reject_constant)
 
 
 def _few_rows(start, end, step):

@@ -49,6 +49,7 @@ from cosserat2d import (
 )
 from cosserat2d.cli import main
 from cosserat2d.selfcheck import random_gl_plus, random_nonclassical_case
+from record_checks import reject_constant
 
 F_PITCHFORK = ["--f", "3", "0.5", "-0.2", "1"]
 F_CLASSICAL = ["--f", "0.5", "0.1", "0", "0.5"]
@@ -240,10 +241,6 @@ def test_profile_results_bits():
     assert hashlib.sha256(profile_lines().encode()).hexdigest() == PROFILE_SHA256
 
 
-def _reject_constant(token):
-    raise ValueError(f"non-standard JSON token {token}")
-
-
 #: Every JSON case, plus one whose energy overflows to inf.
 JSON_CASES = {name: argv for name, argv in CLI_CASES.items() if "json" in argv} | {
     "minimize_overflow_json": ["minimize", "--f", "3", "0", "0", "1", "--mu", "1e308",
@@ -255,7 +252,7 @@ JSON_CASES = {name: argv for name, argv in CLI_CASES.items() if "json" in argv} 
 def test_json_outputs_parse_strictly(name, tmp_path):
     path = tmp_path / "out"
     assert main(JSON_CASES[name] + ["--out", str(path)]) == 0
-    json.loads(path.read_text(), parse_constant=_reject_constant)
+    json.loads(path.read_text(), parse_constant=reject_constant)
 
 
 def oracle_reprs(n=40, seed=14400):

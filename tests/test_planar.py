@@ -34,6 +34,7 @@ from cosserat2d import (
 )
 from cosserat2d.planar import ROTATION_TOL, _invariants, rotation_defect
 from cosserat2d.selfcheck import (
+    PROPERTIES,
     random_classical_weights,
     random_gl_plus,
     random_nonclassical_weights,
@@ -138,6 +139,13 @@ class TestMat2:
             require_rotation(Mat2.diagonal(1.0, -1.0))  # reflection
         with pytest.raises(NotARotation):
             require_rotation(Mat2.diagonal(2.0, 0.5))
+        # against ROTATION_TOL = 1e-12: 1.1 R has defect 0.30 and |det - 1| = 0.21;
+        # diag(1 + e, 1 - e) R keeps det 1 and has defect 2 sqrt(2) e, so at
+        # e = 1e-12 it lies just outside and at e = 2e-13 inside
+        for r in (1.1 * rotation(0.3), Mat2.diagonal(1.0 + 1e-12, 1.0 - 1e-12) @ rotation(0.3)):
+            with pytest.raises(NotARotation):
+                require_rotation(r)
+        require_rotation(Mat2.diagonal(1.0 + 2e-13, 1.0 - 2e-13) @ rotation(0.3))
         # R^T R overflows to inf, or only its squares do: a rotation failure, not an
         # error about a hidden entry
         for big in (1e100, 1e200):
@@ -193,17 +201,7 @@ class TestTraceInvariants:
     def test_stretch_trace_vs_eigensolver_bulk(self):
         # 1000 random samples against an independent symmetric eigensolver
         rng = np.random.default_rng([20260810, 3])
-        for _ in range(1000):
-            f = random_gl_plus(rng)
-            gram = as_array(f).T @ as_array(f)
-            eig_sum = float(np.sqrt(np.linalg.eigvalsh(gram)).sum())
-            assert abs(trace_invariants(f).tr_u - eig_sum) < 1e-9
-
-    def test_pythagorean_identity(self):
-        rng = np.random.default_rng([20260810, 4])
-        for _ in range(500):
-            inv = trace_invariants(random_gl_plus(rng))
-            assert inv.tr_f**2 + inv.tr_jf**2 == pytest.approx(inv.tr_u**2, rel=1e-10)
+        assert PROPERTIES["stretch_trace_vs_eigensolver"].worst(rng, 1000) < 1e-9
 
 
 class TestPolar:
@@ -233,13 +231,9 @@ class TestPolar:
             assert math.sin(a) == pytest.approx(-inv.tr_jf / inv.tr_u, abs=1e-12)
 
     def test_factorization_and_symmetry(self):
+        # both the factorization residual and the asymmetry of U below 1e-12
         rng = np.random.default_rng([20260810, 6])
-        for _ in range(300):
-            f = random_gl_plus(rng)
-            dec = polar_decompose(f)
-            assert (dec.rotation @ dec.stretch - f).frobenius_norm() < 1e-10
-            assert abs(dec.stretch.e12 - dec.stretch.e21) < 1e-12
-            require_rotation(dec.rotation)
+        assert PROPERTIES["polar_factorization"].worst(rng, 300) < 1e-12
 
     def test_scale_invariance(self):
         rng = np.random.default_rng([20260810, 7])
